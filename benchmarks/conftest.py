@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.crypto import VECTOR
 from repro.experiments import FigureConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -62,14 +63,6 @@ def record():
     return _record
 
 
-def _default_backend_label() -> str:
-    """The backend the AUTO heuristic picks at the bench workload scale —
-    what a bench that doesn't select backends explicitly actually ran on."""
-    from repro.core import auto_backend
-
-    return auto_backend(PAPER_CONFIG.tuple_count)
-
-
 @pytest.fixture(scope="session")
 def record_json(request):
     """Append one structured run entry to ``<bench-json-dir>/<name>.json``.
@@ -95,7 +88,7 @@ def record_json(request):
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "cpu_count": os.cpu_count(),
-                "backend": _default_backend_label(),
+                "backend": VECTOR,
                 **payload,
             }
         )

@@ -19,20 +19,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any, Hashable
 
+import numpy as np
+
 from .errors import DuplicateKeyError, MissingKeyError, SchemaError
 from .schema import Attribute, Schema
-
-_numpy = None  # resolved lazily; the relational layer must import without it
-
-
-def _require_numpy():
-    """NumPy, imported on first use (the VECTOR backend's only dependency)."""
-    global _numpy
-    if _numpy is None:
-        import numpy  # noqa: PLC0415 - deliberate lazy import
-
-        _numpy = numpy
-    return _numpy
 
 
 class ColumnCodes:
@@ -61,7 +51,7 @@ class ColumnCodes:
         return len(self.codes)
 
 
-def _canonical_codes(np, raw, uniques: list[Any]) -> ColumnCodes:
+def _canonical_codes(raw, uniques: list[Any]) -> ColumnCodes:
     """Re-canonicalize a raw code array into first-encounter form.
 
     ``raw`` indexes into ``uniques`` but may use the codes in any order and
@@ -320,7 +310,6 @@ class Table:
             return None
         self._codes_misses += 1
         self._flush_if(attribute)
-        np = _require_numpy()
         if attribute == self._schema.primary_key:
             # Primary keys are unique: every row is its own code and the
             # uniques *are* the column — no dict pass at all.
@@ -642,11 +631,10 @@ class Table:
         self._pending = (attribute, position, positions, codes, uniques)
         self._version += 1
         self._attr_writes[attribute] = self._version
-        np = _require_numpy()
         raw = base.codes.copy()
         raw[positions] = np.asarray(codes, dtype=np.int32)
         self._codes_cache[attribute] = (
-            self._version, _canonical_codes(np, raw, uniques)
+            self._version, _canonical_codes(raw, uniques)
         )
         return len(positions)
 
@@ -691,7 +679,6 @@ class Table:
         self._version += 1
         self._structural_version = self._version
         if fresh:
-            np = _require_numpy()
             for attribute, codes in fresh.items():
                 attr_position = self._schema.position(attribute)
                 appended = [row[attr_position] for row in staged]
@@ -866,14 +853,13 @@ class Table:
         self._owned = set()
         duplicate._owned = set()
         if taken and self._codes_cache:
-            np = _require_numpy()
             gather = np.asarray(positions, dtype=np.intp)
             for attribute, (cached_version, codes) in self._codes_cache.items():
                 if not self._cache_fresh(cached_version, attribute):
                     continue
                 duplicate._codes_cache[attribute] = (
                     duplicate._version,
-                    _canonical_codes(np, codes.codes[gather], codes.uniques),
+                    _canonical_codes(codes.codes[gather], codes.uniques),
                 )
         return duplicate
 
@@ -905,15 +891,8 @@ class Table:
             )
         position = target_schema.position(attribute)
         meta = target_schema.attribute(attribute)
-        try:
-            codes = self.column_codes(attribute)
-        except ImportError:  # pragma: no cover - slim installs only
-            codes = None
-        if codes is not None:
-            distinct: Iterable[Any] = codes.uniques
-        else:
-            distinct = dict.fromkeys(self.column_view(attribute))
-        images = {value: mapping[value] for value in distinct}
+        codes = self.column_codes(attribute)
+        images = {value: mapping[value] for value in codes.uniques}
         for value in images.values():
             meta.validate(value)
         self._flush_pending()
@@ -934,25 +913,20 @@ class Table:
             duplicate._pk_index = index
         else:
             duplicate._pk_index = dict(self._pk_index)
-        if codes is not None:
-            mapped_uniques = [images[v] for v in codes.uniques]
-            if len(set(mapped_uniques)) == len(mapped_uniques):
-                duplicate._codes_cache[attribute] = (
-                    duplicate._version,
-                    ColumnCodes(codes.codes, mapped_uniques),
-                )
-            # A non-injective mapping merges values: the carried-over codes
-            # would hold duplicate uniques (two codes for one value), which
-            # breaks the distinct-by-equality invariant every consumer
-            # assumes — leave the column cold and let a fresh scan
-            # canonicalize it instead.
-            for other, (cached_version, shared) in self._codes_cache.items():
-                if other != attribute and self._cache_fresh(
-                    cached_version, other
-                ):
-                    duplicate._codes_cache[other] = (
-                        duplicate._version, shared
-                    )
+        mapped_uniques = [images[v] for v in codes.uniques]
+        if len(set(mapped_uniques)) == len(mapped_uniques):
+            duplicate._codes_cache[attribute] = (
+                duplicate._version,
+                ColumnCodes(codes.codes, mapped_uniques),
+            )
+        # A non-injective mapping merges values: the carried-over codes
+        # would hold duplicate uniques (two codes for one value), which
+        # breaks the distinct-by-equality invariant every consumer
+        # assumes — leave the column cold and let a fresh scan
+        # canonicalize it instead.
+        for other, (cached_version, shared) in self._codes_cache.items():
+            if other != attribute and self._cache_fresh(cached_version, other):
+                duplicate._codes_cache[other] = (duplicate._version, shared)
         return duplicate
 
     def with_schema(self, schema: Schema, name: str | None = None) -> "Table":

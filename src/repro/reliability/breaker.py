@@ -8,7 +8,7 @@ label and, at ``threshold``, *opens*: callers consult :meth:`allow` and
 take a degradation path instead of dispatching again.
 
 The degradation ladders it guards are the repo's bit-identical ones —
-pooled → hoisted → serial sweep modes, VECTOR → ENGINE stream backends —
+pooled → hoisted → serial sweep modes, VECTOR → SCALAR stream backends —
 so an open breaker changes *how fast* a run executes, never *what* it
 produces.  Every open/close transition is recorded (with its cause) in
 :attr:`transitions` and surfaced through the owning component's

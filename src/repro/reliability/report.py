@@ -40,7 +40,7 @@ class ReliabilityReport:
     #: or ``MemoryError``) and regrows after sustained headroom
     chunk_shrinks: int = 0
     chunk_regrows: int = 0
-    #: VECTOR -> ENGINE stream-backend degradations (bit-identical)
+    #: VECTOR -> SCALAR stream-backend degradations (bit-identical)
     backend_fallbacks: int = 0
     #: circuit-breaker open transitions, by label (``"pool.worker"``,
     #: ``"stream.vector"``)

@@ -58,7 +58,7 @@ from ..core.detection import SlotVotes, VoteAccumulator
 from ..core.embedding import EmbeddingSpec, VARIANT_MAP
 from ..core.errors import DetectionError
 from ..core.watermark import Watermark
-from ..crypto import SCALAR, MarkKey
+from ..crypto import SCALAR, VECTOR, MarkKey
 from ..quality import QualityGuard
 from ..relational import CategoricalDomain, Table
 from ..relational.csvio import cell_parsers, parse_row
@@ -87,7 +87,6 @@ from .pipeline import (
     _chunk_votes,
     _chunk_votes_adaptive,
     _embed_chunk,
-    _vector_chunk,
     stream_engine,
 )
 from .sources import (
@@ -220,7 +219,7 @@ _pool_hb_dir: str | None = None
 
 # Worker-process globals (set by _worker_init, used by the task fns).
 _W: dict[str, Any] | None = None
-_W_ENGINES: list | None = None
+_W_HASHERS: list | None = None
 _W_PARSERS = None
 _W_HB: str | None = None
 _W_CHUNKS = 0
@@ -229,9 +228,9 @@ _W_CHUNKS = 0
 def _worker_init(blob: bytes, heartbeat_dir: str | None) -> None:
     """Pool initializer: install the run state, build one warm
     chunk-bounded stream engine per key, zero worker-local telemetry."""
-    global _W, _W_ENGINES, _W_PARSERS, _W_HB, _W_CHUNKS
+    global _W, _W_HASHERS, _W_PARSERS, _W_HB, _W_CHUNKS
     _W = pickle.loads(blob)
-    _W_ENGINES = [
+    _W_HASHERS = [
         None if _W["mode"] == SCALAR
         else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
@@ -253,7 +252,7 @@ def _worker_stats() -> dict[str, Any]:
         "kernel_calls": dict(kernels.KERNEL_CALLS),
         "computed_digests": sum(
             engine.computed_digests
-            for engine in _W_ENGINES
+            for engine in _W_HASHERS
             if engine is not None
         ),
     }
@@ -303,7 +302,7 @@ def _task_votes(task: ChunkTask, inject: tuple | None = None):
         maps = _W["maps"]
         mode = _W["mode"]
         value_mapping = _W["value_mapping"]
-        if len(keys) > 1 and _vector_chunk(mode, chunk):
+        if len(keys) > 1 and mode == VECTOR:
             tallies = [
                 SlotVotes.from_arrays(*tally)
                 for tally in kernels.detect_multipass_votes(
@@ -312,7 +311,7 @@ def _task_votes(task: ChunkTask, inject: tuple | None = None):
                     [domain] * len(keys),
                     maps if spec.variant == VARIANT_MAP else None,
                     value_mapping,
-                    _W_ENGINES,
+                    _W_HASHERS,
                 )
             ]
         else:
@@ -322,7 +321,7 @@ def _task_votes(task: ChunkTask, inject: tuple | None = None):
                     engine, mode,
                 )
                 for key, engine, embedding_map in zip(
-                    keys, _W_ENGINES, maps
+                    keys, _W_HASHERS, maps
                 )
             ]
         _W_CHUNKS += 1
@@ -354,7 +353,7 @@ def _task_embed(task: ChunkTask, inject: tuple | None = None):
         guard.bind(chunk)
         pass_result = _embed_one(
             chunk, _W["watermark"], _W["keys"][0], spec, domain,
-            _W["wm_data"], guard, _W_ENGINES[0], _W["mode"],
+            _W["wm_data"], guard, _W_HASHERS[0], _W["mode"],
         )
         _W_CHUNKS += 1
         return (
@@ -860,7 +859,7 @@ def _serial_votes_fn(
 ):
     """Coordinator-side fallback compute — the degradation ladder's
     serial twin of :func:`_task_votes` (same kernels, same order, plus
-    the serial path's own VECTOR -> ENGINE ladder for single-pass)."""
+    the serial path's own VECTOR -> SCALAR ladder for single-pass)."""
     engines = [
         None if mode == SCALAR else stream_engine(key, chunk_size)
         for key in keys
@@ -880,7 +879,7 @@ def _serial_votes_fn(
                 engines[0], state["mode"], task.index, None, breaker,
                 reliability,
             )
-        elif _vector_chunk(state["mode"], chunk):
+        elif state["mode"] == VECTOR:
             tallies = [
                 SlotVotes.from_arrays(*tally)
                 for tally in kernels.detect_multipass_votes(

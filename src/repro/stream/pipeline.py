@@ -55,7 +55,7 @@ from ..core.embedding import (
 )
 from ..core.errors import DetectionError, SpecError
 from ..core.watermark import Watermark
-from ..crypto import AUTO, BACKENDS, ENGINE, SCALAR, VECTOR, HashEngine, MarkKey
+from ..crypto import BACKENDS, SCALAR, VECTOR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Schema, Table
 from ..reliability.breaker import CircuitBreaker
@@ -93,18 +93,18 @@ from .sources import DEFAULT_CHUNK_SIZE, resolve_chunks, source_schema
 
 logger = logging.getLogger(__name__)
 
-#: circuit-breaker label of the VECTOR -> ENGINE stream-backend ladder
+#: circuit-breaker label of the VECTOR -> SCALAR stream-backend ladder
 STREAM_VECTOR_LABEL = "stream.vector"
 
 #: floor on the stream engine's memoization-cache entry bound; the bound
 #: scales with the chunk size (see :func:`stream_engine`) so steady-state
 #: memory is O(chunk), not O(rows seen)
-MIN_ENGINE_ENTRIES = 8_192
+MIN_STREAM_CACHE_ENTRIES = 8_192
 
 #: cache-entry bound as a multiple of the chunk size — large enough that
 #: a mark-then-verify pair (or repeated values across nearby chunks)
 #: stays warm, small enough to stay chunk-proportional
-ENGINE_ENTRY_FACTOR = 4
+STREAM_CACHE_FACTOR = 4
 
 
 def stream_engine(
@@ -115,15 +115,17 @@ def stream_engine(
     Unlike the process-wide :func:`~repro.crypto.get_engine` registry
     engine (bounded at millions of entries — fine for in-memory
     relations, O(rows) for an unbounded stream), this engine's digest and
-    derived caches are capped at ``max(MIN_ENGINE_ENTRIES,
-    ENGINE_ENTRY_FACTOR * chunk_size)`` entries — dropped wholesale when
+    derived caches are capped at ``max(MIN_STREAM_CACHE_ENTRIES,
+    STREAM_CACHE_FACTOR * chunk_size)`` entries — dropped wholesale when
     the cap is crossed, so steady-state memory stays O(chunk) however
     many rows flow past, while values re-seen within the window (a
     mark-then-verify pair, repeated chunks) still re-hash nothing.
     """
     return HashEngine(
         key,
-        max_entries=max(MIN_ENGINE_ENTRIES, ENGINE_ENTRY_FACTOR * chunk_size),
+        max_entries=max(
+            MIN_STREAM_CACHE_ENTRIES, STREAM_CACHE_FACTOR * chunk_size
+        ),
     )
 
 
@@ -136,42 +138,26 @@ def _resolve_stream_backend(
 
     ``mode`` is one of the :data:`~repro.crypto.BACKENDS` sentinels;
     ``engine`` is the stream-scoped (or caller-supplied) instance every
-    non-SCALAR chunk runs on.  An explicit :class:`HashEngine` instance
-    keeps AUTO dispatch — unlike the in-memory entry points, the pipeline
-    can drive the vector kernels with any engine, so callers may pass a
-    differently-bounded (or shared, pre-warmed) instance without giving
-    up the fast path.
+    VECTOR chunk runs on.  An explicit :class:`HashEngine` instance runs
+    VECTOR on that instance, so callers may pass a differently-bounded
+    (or shared, pre-warmed) engine.
     """
     if isinstance(backend, HashEngine):
         if backend.key != key:
             raise StreamError(
                 "backend engine was built for a different MarkKey"
             )
-        return backend, AUTO
+        return backend, VECTOR
     if backend is None:
-        backend = AUTO
+        backend = VECTOR
     if backend not in BACKENDS:
         raise StreamError(
             f"backend must be one of {BACKENDS} or a HashEngine, "
             f"got {backend!r}"
         )
-    if backend == VECTOR and not kernels.numpy_available():
-        raise StreamError("the VECTOR backend requires numpy")
     if backend == SCALAR:
         return None, SCALAR
     return stream_engine(key, chunk_size), backend
-
-
-def _vector_chunk(mode: str, chunk: Table) -> bool:
-    """Should this chunk run on the vector kernels under ``mode``?"""
-    if mode == VECTOR:
-        return True
-    if mode == AUTO:
-        return (
-            kernels.numpy_available()
-            and len(chunk) >= kernels.VECTOR_MIN_ROWS
-        )
-    return False  # SCALAR and ENGINE force their historical paths
 
 
 def _source_chunk_size(source) -> int:
@@ -782,7 +768,7 @@ def _embed_one(
     mode: str,
 ) -> EmbeddingResult:
     """Embed ``chunk`` in place under the resolved backend ``mode``."""
-    if _vector_chunk(mode, chunk):
+    if mode == VECTOR:
         pass_result = EmbeddingResult(
             spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
         )
@@ -796,7 +782,7 @@ def _embed_one(
         key,
         spec,
         guard=guard,
-        engine=SCALAR if mode == SCALAR else engine,
+        engine=SCALAR,
     )
 
 
@@ -889,8 +875,8 @@ def _embed_chunk(
       refused when ``constraints_factory`` is set, because guard budgets
       are chunk-scoped and slicing would change their semantics;
     * when the circuit breaker opens on :data:`STREAM_VECTOR_LABEL`
-      (K consecutive vector-path transients), the run degrades down the
-      existing ladder to the ENGINE backend — same cells, no numpy.
+      (K consecutive vector-path transients), the remaining chunks
+      degrade to the SCALAR reference backend — same cells, no numpy.
     """
     while True:
         if budget is not None and budget.over_budget():
@@ -922,7 +908,7 @@ def _embed_chunk(
                     chunk, slices, watermark, key, spec, domain, wm_data,
                     engine, mode,
                 )
-            if breaker is not None and _vector_chunk(mode, chunk):
+            if breaker is not None and mode == VECTOR:
                 breaker.record_success(STREAM_VECTOR_LABEL)
             if budget is not None and budget.note_healthy():
                 reliability.chunk_regrows += 1
@@ -930,7 +916,7 @@ def _embed_chunk(
         except TRANSIENT_TYPES as exc:
             if classify(exc) is not TRANSIENT:
                 raise
-            vectored = _vector_chunk(mode, chunk)
+            vectored = mode == VECTOR
             if vectored and breaker is not None:
                 if breaker.record_failure(
                     STREAM_VECTOR_LABEL, cause=repr(exc)
@@ -956,15 +942,15 @@ def _embed_chunk(
                 and breaker is not None
                 and breaker.is_open(STREAM_VECTOR_LABEL)
             ):
-                # Degrade down the existing bit-identical ladder: the
-                # ENGINE backend computes the same cells without numpy.
+                # Degrade to the bit-identical reference: the SCALAR
+                # backend computes the same cells without numpy.
                 reliability.backend_fallbacks += 1
                 logger.warning(
                     "circuit breaker open on %s after %r: degrading "
-                    "remaining chunks to the ENGINE backend",
+                    "remaining chunks to the SCALAR backend",
                     STREAM_VECTOR_LABEL, exc,
                 )
-                mode = ENGINE
+                mode = SCALAR
                 continue
             raise
 
@@ -1108,7 +1094,7 @@ def _chunk_votes(
     mode: str,
 ) -> SlotVotes:
     """One chunk's slot-vote tallies under the resolved backend."""
-    if _vector_chunk(mode, chunk):
+    if mode == VECTOR:
         return SlotVotes.from_arrays(
             *kernels.extract_votes_vector(
                 chunk, spec, domain, embedding_map, value_mapping, engine
@@ -1121,7 +1107,7 @@ def _chunk_votes(
         embedding_map,
         domain,
         value_mapping,
-        engine=SCALAR if mode == SCALAR else engine,
+        engine=SCALAR,
     )
 
 
@@ -1171,7 +1157,7 @@ def _chunk_votes_adaptive(
                             value_mapping, engine, mode,
                         )
                     )
-            if breaker is not None and _vector_chunk(mode, chunk):
+            if breaker is not None and mode == VECTOR:
                 breaker.record_success(STREAM_VECTOR_LABEL)
             if budget is not None and budget.note_healthy():
                 reliability.chunk_regrows += 1
@@ -1179,7 +1165,7 @@ def _chunk_votes_adaptive(
         except TRANSIENT_TYPES as exc:
             if classify(exc) is not TRANSIENT:
                 raise
-            vectored = _vector_chunk(mode, chunk)
+            vectored = mode == VECTOR
             if vectored and breaker is not None:
                 if breaker.record_failure(
                     STREAM_VECTOR_LABEL, cause=repr(exc)
@@ -1199,10 +1185,10 @@ def _chunk_votes_adaptive(
                 reliability.backend_fallbacks += 1
                 logger.warning(
                     "circuit breaker open on %s after %r: degrading "
-                    "remaining chunks to the ENGINE backend",
+                    "remaining chunks to the SCALAR backend",
                     STREAM_VECTOR_LABEL, exc,
                 )
-                mode = ENGINE
+                mode = SCALAR
                 continue
             raise
 
@@ -1441,7 +1427,7 @@ def stream_verify_multipass(
         _resolve_stream_backend(backend, key, chunk_size) for key in keys
     ]
     engines = [engine for engine, _ in resolved_pairs]
-    mode = resolved_pairs[0][1] if resolved_pairs else AUTO
+    mode = resolved_pairs[0][1] if resolved_pairs else VECTOR
     resolved = _resolve_stream_domain(domain, source, spec)
 
     from .parallel import resolve_workers
@@ -1483,7 +1469,7 @@ def stream_verify_multipass(
                 f"no categorical domain available for "
                 f"{spec.mark_attribute!r}"
             )
-        if pass_count > 1 and _vector_chunk(mode, chunk):
+        if pass_count > 1 and mode == VECTOR:
             tallies = kernels.detect_multipass_votes(
                 [chunk] * pass_count,
                 spec,

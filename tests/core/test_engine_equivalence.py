@@ -1,6 +1,7 @@
-"""End-to-end bit-identity: engine-backed embed/detect vs scalar reference.
+"""End-to-end bit-identity: embed/detect on an explicit engine vs scalar.
 
-The batched columnar fast path must produce *exactly* the same marked
+An explicit :class:`~repro.crypto.HashEngine` instance runs the VECTOR
+kernels on that instance, which must produce *exactly* the same marked
 relation, the same embedding statistics, and the same recovered slots as
 the row-at-a-time scalar implementation — for both Figure 1 variants and
 for §3.3 place-holder keys with duplicate values.

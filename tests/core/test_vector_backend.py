@@ -1,11 +1,12 @@
-"""Three-backend bit-identity: VECTOR vs ENGINE vs SCALAR.
+"""Backend bit-identity: VECTOR vs the SCALAR reference.
 
 The vector kernels (column codes + plan arrays + bincount tallies) must
 produce exactly the same marked relation, embedding statistics, guard
-state, recovered slots and verdicts as the engine and scalar paths — for
-both Figure 1 variants, §3.3 place-holder keys with duplicates, §4.5
+state, recovered slots and verdicts as the scalar path — for both
+Figure 1 variants, §3.3 place-holder keys with duplicates, §4.5
 remapping recovery inputs, constrained guards, the frequency channel and
-the multi-attribute closure.
+the multi-attribute closure — and on relations of any size, down to
+empty ones.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from repro.core import (
     make_spec,
     verify_pairs,
 )
-from repro.core import kernels
 from repro.core.detection import extract_slots
 from repro.core.embedding import embed
+from repro.core.errors import SpecError
 from repro.core.frequency import detect_frequency, embed_frequency
 from repro.crypto import (
-    ENGINE,
+    BACKENDS,
     SCALAR,
     VECTOR,
     MarkKey,
@@ -41,14 +42,6 @@ from repro.relational import (
     Schema,
     Table,
 )
-
-BACKENDS = (SCALAR, ENGINE, VECTOR)
-
-
-@pytest.fixture(autouse=True)
-def force_vector_eligibility(monkeypatch):
-    """Let the AUTO heuristic and VECTOR path run on small test tables."""
-    monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 1)
 
 
 @pytest.fixture
@@ -116,9 +109,9 @@ def test_embed_and_extract_bit_identical(relation, watermark, key, variant):
         )
         tables.append(list(table))
         stats.append(_embed_stats(result))
-    assert tables[0] == tables[1] == tables[2]
-    assert stats[0] == stats[1] == stats[2]
-    assert slot_sets[0] == slot_sets[1] == slot_sets[2]
+    assert tables[0] == tables[1]
+    assert stats[0] == stats[1]
+    assert slot_sets[0] == slot_sets[1]
 
 
 @pytest.mark.parametrize("variant", ["keyed", "map"])
@@ -142,8 +135,8 @@ def test_placeholder_duplicates_bit_identical(
         tables.append(list(table))
         stats.append(_embed_stats(result))
         guards.append(guard)
-    assert tables[0] == tables[1] == tables[2]
-    assert stats[0] == stats[1] == stats[2]
+    assert tables[0] == tables[1]
+    assert stats[0] == stats[1]
     # The fast-path batched write-back must leave the guard's log, report
     # and incremental statistics exactly as the per-cell path does.
     reference = guards[0]
@@ -155,19 +148,20 @@ def test_placeholder_duplicates_bit_identical(
         assert guard.context.count_deltas == reference.context.count_deltas
 
 
+class _VetoEveryThird(Constraint):
+    name = "veto-3rd"
+
+    def __init__(self):
+        self.proposals = 0
+
+    def violated(self, context):
+        self.proposals += 1
+        return "every third" if self.proposals % 3 == 0 else None
+
+
 def test_constrained_guard_vetoes_identically(
     placeholder_table, watermark, key
 ):
-    class VetoEveryThird(Constraint):
-        name = "veto-3rd"
-
-        def __init__(self):
-            self.proposals = 0
-
-        def violated(self, context):
-            self.proposals += 1
-            return "every third" if self.proposals % 3 == 0 else None
-
     spec = make_spec(
         placeholder_table, watermark, mark_attribute="B", e=1,
         key_attribute="A", variant="map",
@@ -175,7 +169,7 @@ def test_constrained_guard_vetoes_identically(
     outcomes = []
     for backend in BACKENDS:
         table = placeholder_table.clone()
-        guard = QualityGuard([VetoEveryThird()])
+        guard = QualityGuard([_VetoEveryThird()])
         guard.bind(table)
         result = embed(
             table, watermark, key, spec, guard=guard, engine=backend
@@ -185,7 +179,7 @@ def test_constrained_guard_vetoes_identically(
             (list(table), _embed_stats(result), guard.log.entries,
              guard.report.vetoed)
         )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_remap_recovery_inputs_identical(placeholder_table, watermark, key):
@@ -228,7 +222,7 @@ def test_remap_recovery_inputs_identical(placeholder_table, watermark, key):
         )
         for backend in BACKENDS
     ]
-    assert recovered[0] == recovered[1] == recovered[2]
+    assert recovered[0] == recovered[1]
 
 
 def test_watermarker_verdicts_identical(relation, watermark, key):
@@ -246,7 +240,7 @@ def test_watermarker_verdicts_identical(relation, watermark, key):
                 verdict.association.detected,
             )
         )
-    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0] == verdicts[1]
     assert verdicts[0][3] is True
 
 
@@ -311,11 +305,116 @@ def test_multiattribute_identical(relation, watermark, key):
                 },
             )
         )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
 
 
-def test_auto_heuristic(monkeypatch):
-    monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 4096)
-    assert kernels.auto_backend(4096) == VECTOR
-    assert kernels.auto_backend(4095) == ENGINE
-    assert kernels.auto_backend(0) == ENGINE
+# -- the backend set ----------------------------------------------------------
+
+def test_backends_are_scalar_and_vector():
+    assert BACKENDS == ("scalar", "vector")
+
+
+@pytest.mark.parametrize("removed", ["engine", "auto"])
+def test_removed_backend_names_are_rejected(relation, watermark, key, removed):
+    """Names of retired backends fail loudly instead of running a default,
+    and the error names the backends that remain."""
+    spec = make_spec(relation, watermark, "Item_Nbr", e=20)
+    named = r"\('scalar', 'vector'\)"
+    table = relation.clone()
+    with pytest.raises(ValueError, match=named):
+        embed(table, watermark, key, spec, engine=removed)
+    assert list(table) == list(relation)
+    with pytest.raises(ValueError, match=named):
+        extract_slots(relation, key, spec, engine=removed)
+    with pytest.raises(SpecError, match=named):
+        Watermarker(key, e=20, engine=removed)
+
+
+# -- the default backend on relations of every size --------------------------
+
+def _small_table(row_count: int, shared_keys: bool = False) -> Table:
+    schema = Schema(
+        (
+            Attribute("K", AttributeType.INTEGER),
+            Attribute(
+                "A",
+                AttributeType.CATEGORICAL,
+                CategoricalDomain([f"a{i}" for i in range(12)]),
+            ),
+            Attribute(
+                "B",
+                AttributeType.CATEGORICAL,
+                CategoricalDomain([f"b{i}" for i in range(8)]),
+            ),
+        ),
+        primary_key="K",
+    )
+    rng = random.Random(row_count)
+    rows = [
+        (
+            i,
+            "a1" if shared_keys else f"a{rng.randrange(12)}",
+            f"b{rng.randrange(8)}",
+        )
+        for i in range(row_count)
+    ]
+    return Table(schema, rows, name=f"small-{row_count}")
+
+
+SMALL_CASES = {
+    # id: (table, make_spec keyword arguments, constrained guard?)
+    "empty": (lambda: _small_table(0), {"e": 1}, False),
+    "one-row": (lambda: _small_table(1), {"e": 1}, False),
+    "two-rows-shared-key": (
+        lambda: _small_table(2, shared_keys=True),
+        {"e": 1, "key_attribute": "A"},
+        False,
+    ),
+    "all-unfit": (lambda: _small_table(50), {"e": 10**12}, False),
+    "map-variant": (
+        lambda: _small_table(40), {"e": 2, "variant": "map"}, False
+    ),
+    "constrained-guard": (lambda: _small_table(200), {"e": 1}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CASES))
+def test_default_backend_matches_scalar_on_small_relations(
+    watermark, key, case
+):
+    """The default (VECTOR) backend serves every relation size the way
+    the SCALAR reference does: marked rows, statistics, guard state and
+    recovered slots."""
+    build, spec_kwargs, constrained = SMALL_CASES[case]
+    base = build()
+    spec = make_spec(base, watermark, mark_attribute="B", **spec_kwargs)
+    outcomes = []
+    for backend in (SCALAR, None):
+        clear_engine_registry()
+        table = base.clone()
+        guard = QualityGuard([_VetoEveryThird()] if constrained else [])
+        guard.bind(table)
+        result = embed(
+            table, watermark, key, spec, guard=guard, engine=backend
+        )
+        slots = extract_slots(
+            table, key, spec, embedding_map=result.embedding_map,
+            engine=backend,
+        )
+        outcomes.append(
+            (
+                list(table),
+                _embed_stats(result),
+                guard.log.entries,
+                guard.report.vetoed,
+                slots,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    fit_count = outcomes[0][1][0]
+    if case == "all-unfit":
+        assert fit_count == 0
+    elif case == "constrained-guard":
+        assert outcomes[0][3] > 0  # the constraint actually fired
+    elif case != "empty":
+        assert fit_count > 0

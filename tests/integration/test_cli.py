@@ -240,9 +240,8 @@ class TestSweepCommand:
         outputs = []
         for backend, mode in (
             ("scalar", "serial"),
-            ("engine", "hoisted"),
             ("vector", "hoisted"),
-            ("auto", "auto"),
+            ("vector", "auto"),
         ):
             out = small_workspace / f"{backend}-{mode}.json"
             code = main(
@@ -278,6 +277,18 @@ class TestSweepCommand:
                 )
             )
 
+    @pytest.mark.parametrize("removed", ["engine", "auto"])
+    def test_rejects_removed_backends(self, small_workspace, capsys, removed):
+        out = small_workspace / "bad.json"
+        with pytest.raises(SystemExit):
+            main(
+                self._sweep(small_workspace, out, **{"--backend": removed})
+            )
+        error = capsys.readouterr().err
+        assert f"invalid choice: '{removed}'" in error
+        assert "'scalar', 'vector'" in error
+        assert not out.exists()
+
 
 class TestFigureCommand:
     def test_figure7_json(self, tmp_path, capsys):
@@ -286,7 +297,7 @@ class TestFigureCommand:
             [
                 "figure", "--figure", "7", "--tuples", "500",
                 "--items", "50", "--passes", "2",
-                "--backend", "auto", "--mode", "auto",
+                "--backend", "vector", "--mode", "auto",
                 "--json", str(out),
             ]
         )

@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro import MarkKey, Watermark
-from repro.core import EmbeddingSpec, kernels
+from repro.core import EmbeddingSpec
 from repro.crypto import VECTOR
 from repro.datagen import generate_item_scan
 from repro.experiments import (
@@ -210,16 +210,14 @@ class TestStreamStallMatrix:
                 constraints_factory=list,
             )
 
-    def test_breaker_degrades_vector_to_engine_bit_identical(
+    def test_breaker_degrades_vector_to_scalar_bit_identical(
         self, base, key, wm, spec, reference, tmp_path, chaos_report
     ):
-        if not kernels.numpy_available():
-            pytest.skip("the VECTOR backend requires numpy")
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
         breaker = CircuitBreaker(threshold=2, cooldown=60.0)
         # Two consecutive exhaustions on the vector path, with the budget
         # already at its floor after the first: the breaker opens and the
-        # run degrades down the bit-identical VECTOR -> ENGINE ladder.
+        # run degrades down the bit-identical VECTOR -> SCALAR ladder.
         plan = FaultPlan().add("pipeline.embed", MEMORY, at=1, times=2)
         with plan.armed():
             result = stream_mark(

@@ -6,7 +6,7 @@ import pytest
 
 from repro import MarkKey, Watermark, Watermarker
 from repro.core import EmbeddingSpec, verify
-from repro.crypto import ENGINE, SCALAR, VECTOR
+from repro.crypto import SCALAR, VECTOR
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import write_csv
@@ -88,7 +88,7 @@ class StoppingSource:
 
 class TestStreamMark:
     @pytest.mark.parametrize("chunk_size", [250, 1024, 3000])
-    @pytest.mark.parametrize("backend", [SCALAR, ENGINE, VECTOR, None])
+    @pytest.mark.parametrize("backend", [SCALAR, VECTOR, None])
     def test_cell_identical_to_in_memory_embed(
         self, base, key, wm, spec, reference, chunk_size, backend
     ):
@@ -102,6 +102,16 @@ class TestStreamMark:
         assert result.fit_count > 0
         assert result.applied + result.unchanged == result.fit_count
         assert result.slots_written and result.slot_coverage > 0
+
+    @pytest.mark.parametrize("removed", ["engine", "auto"])
+    def test_removed_backend_names_rejected(
+        self, base, key, wm, spec, removed
+    ):
+        with pytest.raises(StreamError, match=r"\('scalar', 'vector'\)"):
+            stream_mark(
+                TableChunkSource(base, chunk_size=500), wm, key, spec,
+                TableChunkSink(), backend=removed,
+            )
 
     def test_counters_match_in_memory_embed(self, base, key, wm, spec):
         in_memory = Watermarker(key, e=E).embed(
