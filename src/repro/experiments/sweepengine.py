@@ -14,7 +14,7 @@ differs.  This module restructures the sweep around that observation:
   shared table is never mutated.  A figure pays ``passes`` embeds instead
   of ``passes x len(xs)``.
 * **persistent worker pool** — ``(seed, x)`` attack+verify cells fan out
-  across a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
+  across a :class:`~repro.reliability.pool.WorkerPool` whose workers
   are initialized *once* with the base relation and then reused across
   sweep points and across successive sweeps in one bench run.  Work is
   partitioned by seed, so each worker embeds a seed at most once and keeps
@@ -53,9 +53,6 @@ import logging
 import os
 import pickle
 import random
-import shutil
-import signal
-import tempfile
 import time
 import weakref
 from collections import OrderedDict
@@ -70,14 +67,12 @@ from ..crypto import SCALAR, VECTOR, MarkKey
 from ..relational import CategoricalDomain, Table
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, DeadlineExceededError, check_deadline
-from ..reliability.faults import (
-    HANG,
-    KILL,
-    SLOW,
-    InjectedFaultError,
-    MEMORY,
-    active_plan,
-    injection_armed,
+from ..reliability.pool import (
+    WorkerPool,
+    fire,
+    planned_fault,
+    resolve_watchdog,
+    worker_beat,
 )
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
@@ -86,7 +81,7 @@ from ..reliability.retry import (
     RetryPolicy,
     classify,
 )
-from ..reliability.watchdog import IDLE, Watchdog, beat
+from ..reliability.watchdog import IDLE, Watchdog
 
 logger = logging.getLogger(__name__)
 
@@ -385,32 +380,25 @@ def _table_token(table: Table) -> bytes:
 
 # -- persistent worker pool ---------------------------------------------------
 #
-# One module-level executor, keyed by the base-table token.  Workers are
-# initialized once with the base relation; each task covers one seed's
-# cells for a sweep, so a worker embeds each (protocol, seed) it meets at
-# most once and keeps the pass cached for later points and later sweeps.
+# One pool slot, keyed by the base-table token.  Workers are initialized
+# once with the base relation; each task covers one seed's cells for a
+# sweep, so a worker embeds each (protocol, seed) it meets at most once
+# and keeps the pass cached for later points and later sweeps.
 
-_pool = None
-_pool_token: bytes | None = None
-_pool_workers: int = 0
-#: pool-scoped heartbeat directory the workers beat into (watchdog state)
-_pool_hb_dir: str | None = None
+_POOL = WorkerPool("sweep")
 
 # Worker-process globals (set by _worker_init, used by _worker_run_seed).
 _WORKER_TABLE: Table | None = None
-_WORKER_HB_DIR: str | None = None
 _WORKER_PASSES: "OrderedDict[tuple[SweepProtocol, int], EmbeddedPass]" = (
     OrderedDict()
 )
 
 
-def _worker_init(table_blob: bytes, heartbeat_dir: str | None = None) -> None:
+def _worker_init(table_blob: bytes) -> None:
     """Pool initializer: install the base relation in the worker."""
-    global _WORKER_TABLE, _WORKER_HB_DIR
+    global _WORKER_TABLE
     _WORKER_TABLE = pickle.loads(table_blob)
-    _WORKER_HB_DIR = heartbeat_dir
     _WORKER_PASSES.clear()
-    beat(heartbeat_dir, state=IDLE)
 
 
 def _worker_embedded_pass(
@@ -433,46 +421,24 @@ def _worker_run_seed(
     protocol: SweepProtocol,
     seed: int,
     cells: list[tuple[float | None, Attack]],
-    inject: tuple | None = None,
+    fault=None,
 ) -> list[PassResult]:
     """Pool task: all of one seed's cells, in sweep-point order.
 
-    Each cell boundary heartbeats the pool's watchdog directory (state
-    ``busy``; the task's return beats ``idle``), so a worker stuck inside
-    a cell is detectable from the parent.
-
-    ``inject`` ships a parent-planned fault across the process boundary
-    (the armed :class:`~repro.reliability.FaultPlan` lives in the parent):
-    ``(cell_index, kind, param)`` makes this task misbehave when it
-    reaches that cell — ``SIGKILL`` for a ``kill`` fault, a ``param``-
-    second stall for ``hang`` (then a transient error: whichever of the
-    watchdog or the retry path notices first recovers the seed) and
-    ``slow`` (then continue), ``MemoryError`` for ``memory``, and
-    :class:`InjectedFaultError` otherwise.  The parent consumed the plan
-    trigger at submit time, so the retried task runs clean.
+    Each cell boundary heartbeats ``busy`` (the task's return beats
+    ``idle``), so a worker stuck inside a cell is detectable from the
+    parent.  ``fault`` is a parent-planned
+    :class:`~repro.reliability.pool.PlannedFault`, fired when the task
+    reaches its cell.
     """
     embedded = _worker_embedded_pass(protocol, seed)
     results = []
     for index, (x, attack) in enumerate(cells):
-        beat(_WORKER_HB_DIR)
-        if inject is not None and index == inject[0]:
-            kind = inject[1]
-            param = inject[2] if len(inject) > 2 else 0.0
-            if kind == KILL:
-                os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
-            elif kind == HANG:
-                time.sleep(param)
-                raise InjectedFaultError("pool.worker", seed, kind)
-            elif kind == SLOW:
-                time.sleep(param)
-            elif kind == MEMORY:
-                raise MemoryError(
-                    f"injected memory fault at pool.worker[{seed}]"
-                )
-            else:
-                raise InjectedFaultError("pool.worker", seed, kind)
+        worker_beat()
+        if fault is not None and index == fault.cell:
+            fire(fault, seed)
         results.append(run_cell(embedded, attack, x))
-    beat(_WORKER_HB_DIR, state=IDLE)
+    worker_beat(IDLE)
     return results
 
 
@@ -481,11 +447,11 @@ def _worker_call(fn, args: tuple) -> Any:
     protocol (e.g. the analysis Monte-Carlo loops): calls
     ``fn(worker_table, *args)``."""
     assert _WORKER_TABLE is not None, "pool worker was not initialized"
-    beat(_WORKER_HB_DIR)
+    worker_beat()
     try:
         return fn(_WORKER_TABLE, *args)
     finally:
-        beat(_WORKER_HB_DIR, state=IDLE)
+        worker_beat(IDLE)
 
 
 def _ensure_pool(token: bytes, table: Table, max_workers: int):
@@ -494,63 +460,18 @@ def _ensure_pool(token: bytes, table: Table, max_workers: int):
     A new base relation retires the old pool: worker caches are only valid
     for the table their initializer installed.
     """
-    global _pool, _pool_token, _pool_workers, _pool_hb_dir
-    if (
-        _pool is not None
-        and _pool_token == token
-        and _pool_workers == max_workers
-    ):
-        return _pool
-    shutdown_sweep_pool()
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_hb_dir = tempfile.mkdtemp(prefix="sweep-heartbeat-")
-    _pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_worker_init,
-        initargs=(pickle.dumps(table), _pool_hb_dir),
+    return _POOL.ensure(
+        token, max_workers, _worker_init, lambda: pickle.dumps(table)
     )
-    _pool_token = token
-    _pool_workers = max_workers
-    return _pool
 
 
 def shutdown_sweep_pool() -> None:
     """Retire the persistent pool (test isolation, table change, exit)."""
-    global _pool, _pool_token, _pool_workers, _pool_hb_dir
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-    if _pool_hb_dir is not None:
-        shutil.rmtree(_pool_hb_dir, ignore_errors=True)
-    _pool = None
-    _pool_token = None
-    _pool_workers = 0
-    _pool_hb_dir = None
+    _POOL.shutdown()
 
 
-def _pool_worker_pids() -> list[int]:
-    """PIDs of the live pool workers (empty when no pool is up)."""
-    if _pool is None:
-        return []
-    return list((getattr(_pool, "_processes", None) or {}).keys())
-
-
-def _kill_pool_workers() -> int:
-    """``SIGKILL`` every live pool worker (deadline/timeout cleanup: a
-    hung worker would otherwise outlive the pool shutdown, because
-    ``Executor.shutdown`` *joins* workers rather than signalling them)."""
-    killed = 0
-    for pid in _pool_worker_pids():
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            continue
-        killed += 1
-    return killed
-
-
-#: ceiling on any single pooled task's wall-clock (pool_table_tasks); far
-#: above any legitimate cell batch, so tripping it means a hung worker
+#: ceiling on any pooled task batch's wall-clock (pool_table_tasks); far
+#: above any legitimate batch, so tripping it means a hung worker
 DEFAULT_TASK_TIMEOUT = 600.0
 
 
@@ -559,7 +480,6 @@ def pool_table_tasks(
     fn,
     task_args: Sequence[tuple],
     max_workers: int | None = None,
-    timeout: float | None = DEFAULT_TASK_TIMEOUT,
 ) -> list[Any]:
     """Run ``fn(table, *args)`` for every ``args`` on the persistent pool.
 
@@ -569,11 +489,10 @@ def pool_table_tasks(
     Raises whatever the tasks raise; pool-infrastructure failures
     propagate too (callers fall back to a serial loop).
 
-    ``timeout`` bounds the whole batch's wall-clock (``None`` restores
-    the historical unbounded wait): a hung worker trips it, the pool's
-    workers are killed and the executor retired, and ``TimeoutError``
-    propagates so callers take their serial fallback instead of blocking
-    forever.
+    :data:`DEFAULT_TASK_TIMEOUT` bounds the whole batch's wall-clock: a
+    hung worker trips it, the pool's workers are killed and the pool
+    retired, and ``TimeoutError`` propagates so callers take their
+    serial fallback instead of blocking forever.
     """
     workers = max_workers or os.cpu_count() or 1
     # An unpicklable payload would deadlock the executor's queue-feeder
@@ -582,20 +501,15 @@ def pool_table_tasks(
     pickle.dumps((fn, list(task_args)))
     pool = _ensure_pool(_table_token(table), table, workers)
     futures = [pool.submit(_worker_call, fn, args) for args in task_args]
-    if timeout is None:
-        return [future.result() for future in futures]
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
-    batch = Deadline(timeout)
+    batch = Deadline(DEFAULT_TASK_TIMEOUT)
     try:
-        return [future.result(timeout=batch.timeout()) for future in futures]
-    except FuturesTimeout as exc:
-        for future in futures:
-            future.cancel()
-        _kill_pool_workers()
-        shutdown_sweep_pool()
+        return [
+            _POOL.wait(future, batch, None, None, "pool.worker", position)
+            for position, future in enumerate(futures)
+        ]
+    except DeadlineExceededError as exc:
         raise TimeoutError(
-            f"pooled task batch still running after {timeout:.6g}s; "
+            f"pooled task batch still running after {batch.budget:.6g}s; "
             f"workers killed, pool retired"
         ) from exc
 
@@ -638,10 +552,7 @@ class SweepEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         #: heartbeat watchdog over the pooled workers (``False`` disables;
         #: ``None`` takes the default 300 s silence budget)
-        self.watchdog: Watchdog | None = (
-            None if watchdog is False
-            else (watchdog if isinstance(watchdog, Watchdog) else Watchdog())
-        )
+        self.watchdog = resolve_watchdog(watchdog)
         #: consecutive-failure breaker steering pooled -> hoisted
         #: degradation (label ``"pool.worker"``)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -825,41 +736,13 @@ class SweepEngine:
         return points
 
     def _await_result(self, future, deadline: Deadline | None, position: int):
-        """Bounded replacement for the historical unbounded
-        ``future.result()`` wait.
-
-        Polls in watchdog-sized slices; every wakeup scans the pool's
-        heartbeat directory and ``SIGKILL``-s workers that went silent
-        mid-task past the watchdog budget (the broken executor then takes
-        the existing respawn path, so the hung seed is re-dispatched
-        bit-identically), and an armed deadline turns the wait into an
-        immediate-timeout poll once its budget is spent.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        watchdog = self.watchdog
-        cap = watchdog.poll if watchdog is not None else 1.0
-        while True:
-            if deadline is not None and deadline.expired():
-                _kill_pool_workers()
-                shutdown_sweep_pool()
-                deadline.check("pool.worker", position)  # raises
-            slice_timeout = (
-                deadline.timeout(cap) if deadline is not None else cap
-            )
-            try:
-                return future.result(timeout=slice_timeout)
-            except FuturesTimeout:
-                pass
-            if watchdog is not None and _pool_hb_dir is not None:
-                killed = watchdog.kill_stale(_pool_hb_dir, _pool_worker_pids())
-                if killed:
-                    self.reliability.watchdog_kills += len(killed)
-                    logger.warning(
-                        "watchdog killed %d hung pool worker(s) silent "
-                        "past %.6gs: %s — respawning and re-dispatching",
-                        len(killed), watchdog.budget, killed,
-                    )
+        """The pool's bounded wait on one seed task: watchdog-scanned,
+        deadline-capped (expiry kills the workers and retires the pool
+        before :class:`~repro.reliability.DeadlineExceededError`)."""
+        return _POOL.wait(
+            future, deadline, self.watchdog, self.reliability,
+            "pool.worker", position,
+        )
 
     def _run_pooled(self, base_table, protocol, attacks, seeds, deadline=None):
         from concurrent.futures import BrokenExecutor
@@ -877,15 +760,13 @@ class SweepEngine:
         attempt = 0
         while pending:
             pool = _ensure_pool(token, base_table, workers)
-            if self.watchdog is not None:
-                self.watchdog.start_round()
             futures = {
                 seed: pool.submit(
                     _worker_run_seed,
                     protocol,
                     seed,
                     attacks,
-                    self._planned_worker_fault(seed, len(attacks)),
+                    planned_fault(seed, len(attacks)),
                 )
                 for seed in pending
             }
@@ -937,29 +818,6 @@ class SweepEngine:
             self.cells_executed += len(results)
             points.append(ExperimentPoint(x=x, passes=results))
         return points
-
-    def _planned_worker_fault(
-        self, seed: int, cell_count: int
-    ) -> tuple[int, str, float] | None:
-        """Consume any fault the armed plan scheduled for this seed's
-        pool task, shipping it as an inject instruction (the plan lives
-        in the parent; workers are separate processes).  The third field
-        carries the stall parameter (``hang_seconds``/``slow_seconds``)
-        for the stall kinds."""
-        if not injection_armed():
-            return None
-        plan = active_plan()
-        kind = plan.draw("pool.worker", seed)
-        if kind is None:
-            return None
-        cell = plan.rng("pool.worker", seed).randrange(max(1, cell_count))
-        if kind == HANG:
-            param = plan.hang_seconds
-        elif kind == SLOW:
-            param = plan.slow_seconds
-        else:
-            param = 0.0
-        return (cell, kind, param)
 
     # -- the runner-shaped convenience --------------------------------------
     def sweep(

@@ -20,6 +20,9 @@ makes recovery *provable* instead of hoped-for:
   :class:`DeadlineExceededError` with a resumable position (exit code 7);
 * :mod:`~repro.reliability.watchdog` — heartbeat-based detection and
   ``SIGKILL`` of *hung* (not just dead) pool workers;
+* :mod:`~repro.reliability.pool` — the one process-pool helper the sweep
+  and the parallel stream share: spawn, kill-then-retire, the
+  deadline-capped, watchdog-scanned wait and shipped worker faults;
 * :mod:`~repro.reliability.budget` — a :class:`MemoryBudget` that halves
   the effective chunk size and replays on breach or ``MemoryError``,
   regrowing after sustained headroom;

@@ -73,10 +73,6 @@ class Watchdog:
         #: how often the parent's result wait wakes to scan for staleness
         self.poll = poll
 
-    def start_round(self) -> None:
-        """Mark a dispatch round (kept for call-site symmetry; staleness
-        is measured purely from busy beats)."""
-
     def last_beat(self, heartbeat_dir: str, pid: int) -> tuple[float, str]:
         """``(epoch mtime, state)`` of ``pid``'s last heartbeat, or
         ``(0.0, IDLE)`` when the worker never beat.
@@ -104,7 +100,8 @@ class Watchdog:
                 stale.append(pid)
         return stale
 
-    def kill(self, pids: list[int]) -> list[int]:
+    @staticmethod
+    def kill(pids: list[int]) -> list[int]:
         """``SIGKILL`` each pid; returns those actually signalled."""
         killed = []
         for pid in pids:

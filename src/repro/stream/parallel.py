@@ -18,19 +18,20 @@ without giving up a single bit of determinism:
   chunk framing — which is what pins ``workers=N`` bit-identical to
   ``workers=1`` and to the in-memory verifiers.
 
-* **Workers** (a persistent ``ProcessPoolExecutor``, keyed by the
-  pickled run state) — are initialized once with keys, spec, domain and
-  schema; each builds one warm chunk-bounded
+* **Workers** (a persistent :class:`~repro.reliability.pool.WorkerPool`,
+  keyed by the pickled run state) — are initialized once with keys,
+  spec, domain and schema; each builds one warm chunk-bounded
   :func:`~repro.stream.pipeline.stream_engine` per key, then
   materializes every task's payload (the expensive per-cell CSV typing
   happens *here*, not in the coordinator) and runs the exact serial
   per-chunk kernels, so a worker's tallies and marked rows are the ones
   the serial loop would produce.
 
-Reliability integration: every pool wait is capped by the run's
-:class:`~repro.reliability.Deadline`; the PR-7
-:class:`~repro.reliability.Watchdog` heartbeats workers and SIGKILLs
-hung ones; a :class:`~repro.reliability.RetryPolicy` re-dispatches
+Reliability integration: the pool's bounded wait caps every result by
+the run's :class:`~repro.reliability.Deadline` (expiry kills the workers
+and retires the pool) and lets the
+:class:`~repro.reliability.Watchdog` SIGKILL hung workers; a
+:class:`~repro.reliability.RetryPolicy` re-dispatches
 failed chunks (pure functions — the replay is bit-identical) and
 respawns a broken pool; and the :class:`~repro.reliability.CircuitBreaker`
 label :data:`STREAM_PARALLEL_LABEL` opens a ``parallel → serial``
@@ -44,9 +45,6 @@ import hashlib
 import logging
 import os
 import pickle
-import shutil
-import signal
-import tempfile
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
@@ -64,15 +62,8 @@ from ..relational import CategoricalDomain, Table
 from ..relational.csvio import cell_parsers, parse_row
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
-from ..reliability.faults import (
-    HANG,
-    KILL,
-    MEMORY,
-    SLOW,
-    InjectedFaultError,
-    active_plan,
-    fault_point,
-)
+from ..reliability.faults import fault_point
+from ..reliability.pool import WorkerPool, fire, planned_fault, worker_beat
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
     TRANSIENT,
@@ -81,7 +72,7 @@ from ..reliability.retry import (
     RetryPolicy,
     classify,
 )
-from ..reliability.watchdog import IDLE, Watchdog, beat
+from ..reliability.watchdog import IDLE, Watchdog
 from .errors import BadRowError, StreamError
 from .pipeline import (
     _chunk_votes,
@@ -138,16 +129,6 @@ def resolve_workers(workers: int | str | None) -> int:
     if count < 1:
         raise StreamError(f"workers must be >= 1, got {workers!r}")
     return count
-
-
-def resolve_watchdog(watchdog: Watchdog | bool | None) -> Watchdog | None:
-    """``None`` takes the default heartbeat watchdog (parallel runs
-    should never block forever on a hung worker); ``False`` disables."""
-    if watchdog is False:
-        return None
-    if isinstance(watchdog, Watchdog):
-        return watchdog
-    return Watchdog()
 
 
 @dataclass
@@ -208,27 +189,25 @@ def _build_chunk(
 
 # -- the persistent worker pool ------------------------------------------------
 #
-# One module-level executor, keyed by (hash of the pickled run state,
-# worker count) — mirroring the sweep engine's pool.  Workers hold warm
+# One pool slot, keyed by (hash of the pickled run state, worker count)
+# — a separate slot from the sweep engine's, so alternating sweep and
+# stream runs do not respawn each other's workers.  Workers hold warm
 # per-key stream engines, so a mark-then-verify pair (or repeated verify
 # calls with the same run state) re-hashes nothing.
 
-_pool = None
-_pool_token: tuple[bytes, int] | None = None
-_pool_hb_dir: str | None = None
+_POOL = WorkerPool("stream")
 
 # Worker-process globals (set by _worker_init, used by the task fns).
 _W: dict[str, Any] | None = None
 _W_HASHERS: list | None = None
 _W_PARSERS = None
-_W_HB: str | None = None
 _W_CHUNKS = 0
 
 
-def _worker_init(blob: bytes, heartbeat_dir: str | None) -> None:
+def _worker_init(blob: bytes) -> None:
     """Pool initializer: install the run state, build one warm
     chunk-bounded stream engine per key, zero worker-local telemetry."""
-    global _W, _W_HASHERS, _W_PARSERS, _W_HB, _W_CHUNKS
+    global _W, _W_HASHERS, _W_PARSERS, _W_CHUNKS
     _W = pickle.loads(blob)
     _W_HASHERS = [
         None if _W["mode"] == SCALAR
@@ -237,12 +216,10 @@ def _worker_init(blob: bytes, heartbeat_dir: str | None) -> None:
     ]
     schema = _W["schema"]
     _W_PARSERS = cell_parsers(schema) if schema is not None else None
-    _W_HB = heartbeat_dir
     _W_CHUNKS = 0
     # Worker-local counters must count this worker's launches only,
     # whatever the parent process had accumulated before the fork.
     kernels.reset_kernel_calls()
-    beat(heartbeat_dir, state=IDLE)
 
 
 def _worker_stats() -> dict[str, Any]:
@@ -258,27 +235,6 @@ def _worker_stats() -> dict[str, Any]:
     }
 
 
-def _misbehave(inject: tuple | None, index: int) -> None:
-    """Execute a parent-planned fault shipped across the process
-    boundary (the armed :class:`~repro.reliability.FaultPlan` lives in
-    the parent; the trigger was consumed at submit time, so a retried
-    task runs clean — same pattern as the sweep pool)."""
-    if inject is None:
-        return
-    kind, param = inject
-    if kind == KILL:
-        os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover — fatal
-    if kind == HANG:
-        time.sleep(param)
-        raise InjectedFaultError("pool.worker", index, kind)
-    if kind == SLOW:
-        time.sleep(param)
-        return
-    if kind == MEMORY:
-        raise MemoryError(f"injected memory fault at pool.worker[{index}]")
-    raise InjectedFaultError("pool.worker", index, kind)
-
-
 def _worker_chunk(task: ChunkTask) -> Table:
     return _build_chunk(
         task, _W["schema"], _W["name"], _W["path"], _W["infer"],
@@ -286,13 +242,15 @@ def _worker_chunk(task: ChunkTask) -> Table:
     )
 
 
-def _task_votes(task: ChunkTask, inject: tuple | None = None):
+def _task_votes(task: ChunkTask, fault=None):
     """Pool task: one chunk's per-pass slot-vote tallies — exactly the
-    tallies the serial per-chunk kernels produce."""
+    tallies the serial per-chunk kernels produce.  ``fault`` is a
+    parent-planned :class:`~repro.reliability.pool.PlannedFault`."""
     global _W_CHUNKS
-    beat(_W_HB)
+    worker_beat()
     try:
-        _misbehave(inject, task.index)
+        if fault is not None:
+            fire(fault, task.index)
         chunk = _worker_chunk(task)
         spec = _W["spec"]
         domain = _W["domain"]
@@ -327,18 +285,19 @@ def _task_votes(task: ChunkTask, inject: tuple | None = None):
         _W_CHUNKS += 1
         return tallies, len(chunk), _worker_stats()
     finally:
-        beat(_W_HB, state=IDLE)
+        worker_beat(IDLE)
 
 
-def _task_embed(task: ChunkTask, inject: tuple | None = None):
+def _task_embed(task: ChunkTask, fault=None):
     """Pool task: embed one chunk in place; returns the marked rows plus
     the per-chunk embedding/guard reports for the ordered commit."""
     global _W_CHUNKS
     from .pipeline import _embed_one
 
-    beat(_W_HB)
+    worker_beat()
     try:
-        _misbehave(inject, task.index)
+        if fault is not None:
+            fire(fault, task.index)
         chunk = _worker_chunk(task)
         spec = _W["spec"]
         domain = _W["domain"]
@@ -361,78 +320,13 @@ def _task_embed(task: ChunkTask, inject: tuple | None = None):
             _worker_stats(),
         )
     finally:
-        beat(_W_HB, state=IDLE)
-
-
-def _ensure_pool(blob: bytes, workers: int):
-    """The persistent executor for this run state (created or reused).
-
-    A different run state (other keys, spec, domain, chunk size) retires
-    the old pool: worker engines are only warm for the state their
-    initializer installed.
-    """
-    global _pool, _pool_token, _pool_hb_dir
-    token = (hashlib.sha256(blob).digest(), workers)
-    if _pool is not None and _pool_token == token:
-        return _pool
-    shutdown_stream_pool()
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_hb_dir = tempfile.mkdtemp(prefix="stream-heartbeat-")
-    _pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(blob, _pool_hb_dir),
-    )
-    _pool_token = token
-    return _pool
+        worker_beat(IDLE)
 
 
 def shutdown_stream_pool() -> None:
     """Retire the persistent stream pool (test isolation, run-state
     change, interpreter exit)."""
-    global _pool, _pool_token, _pool_hb_dir
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-    if _pool_hb_dir is not None:
-        shutil.rmtree(_pool_hb_dir, ignore_errors=True)
-    _pool = None
-    _pool_token = None
-    _pool_hb_dir = None
-
-
-def _pool_worker_pids() -> list[int]:
-    if _pool is None:
-        return []
-    return list((getattr(_pool, "_processes", None) or {}).keys())
-
-
-def _kill_pool_workers() -> int:
-    """``SIGKILL`` every live pool worker (``Executor.shutdown`` *joins*
-    workers, so a hung one would outlive a plain shutdown)."""
-    killed = 0
-    for pid in _pool_worker_pids():
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            continue
-        killed += 1
-    return killed
-
-
-def _planned_injection(index: int) -> tuple | None:
-    """Consume a parent-armed ``"pool.worker"`` trigger at submit time
-    and ship it into the task — workers run in other processes, where
-    the armed plan cannot reach."""
-    plan = active_plan()
-    if plan is None or not plan.scheduled("pool.worker", index):
-        return None
-    kind = plan.draw("pool.worker", index)
-    if kind == HANG:
-        return (kind, plan.hang_seconds)
-    if kind == SLOW:
-        return (kind, plan.slow_seconds)
-    return (kind, 0.0)
+    _POOL.shutdown()
 
 
 def _failed_future(exc: BaseException):
@@ -562,13 +456,22 @@ class _OrderedRun:
 
     # -- submission -------------------------------------------------------------
     def _submit(self, entry: list) -> None:
+        from concurrent.futures import BrokenExecutor
+
         if self.pool is None:
-            self.pool = _ensure_pool(self.blob, self.workers)
+            # A different run state (other keys, spec, domain, chunk
+            # size) retires the old pool: worker engines are only warm
+            # for the state their initializer installed.
+            self.pool = _POOL.ensure(
+                hashlib.sha256(self.blob).digest(), self.workers,
+                _worker_init, lambda: self.blob,
+            )
         task = entry[1]
-        inject = _planned_injection(task.index)
         try:
-            entry[0] = self.pool.submit(self.task_fn, task, inject)
-        except _pool_breakage() as exc:
+            entry[0] = self.pool.submit(
+                self.task_fn, task, planned_fault(task.index)
+            )
+        except BrokenExecutor as exc:
             # A worker died between commits; leave a pre-failed future so
             # the ordered commit path runs its usual pool recovery.
             entry[0] = _failed_future(exc)
@@ -581,10 +484,12 @@ class _OrderedRun:
         fault_point("pipeline.chunk", task.index)
 
     def _commit_head(self) -> None:
+        from concurrent.futures import BrokenExecutor
+
         index, entry = next(iter(self.in_flight.items()))
         try:
             result = self._await(entry)
-        except _pool_breakage() as exc:
+        except BrokenExecutor as exc:
             self._trip(exc)
             if self.retry is None:
                 raise
@@ -614,27 +519,13 @@ class _OrderedRun:
         fault_point("pipeline.chunk", index)
 
     def _await(self, entry: list):
-        """Deadline-capped, watchdog-scanned wait on the head future."""
-        future = entry[0]
-        poll = self.watchdog.poll if self.watchdog is not None else 1.0
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        while True:
-            budget = poll
-            if self.deadline is not None:
-                budget = self.deadline.timeout(cap=poll)
-            try:
-                return future.result(timeout=budget)
-            except FuturesTimeout:
-                check_deadline(
-                    self.deadline, "pipeline.chunk", entry[1].index
-                )
-                if self.watchdog is not None and _pool_hb_dir is not None:
-                    killed = self.watchdog.kill_stale(
-                        _pool_hb_dir, _pool_worker_pids()
-                    )
-                    if killed:
-                        self.reliability.watchdog_kills += len(killed)
+        """The pool's bounded wait on the head chunk: watchdog-scanned,
+        deadline-capped (expiry kills the workers and retires the pool
+        before :class:`~repro.reliability.DeadlineExceededError`)."""
+        return _POOL.wait(
+            entry[0], self.deadline, self.watchdog, self.reliability,
+            "pipeline.chunk", entry[1].index,
+        )
 
     # -- recovery ---------------------------------------------------------------
     def _trip(self, exc: BaseException) -> None:
@@ -675,8 +566,7 @@ class _OrderedRun:
             "re-dispatching %d in-flight chunks",
             entry[1].index, exc, len(self.in_flight),
         )
-        _kill_pool_workers()
-        shutdown_stream_pool()
+        _POOL.shutdown(kill=True)
         self.pool = None
         if self.breaker is not None and self.breaker.is_open(
             STREAM_PARALLEL_LABEL
@@ -711,12 +601,6 @@ class _OrderedRun:
                 entry[0].cancel()
         for entry in entries:
             self._commit_serial(entry[1])
-
-
-def _pool_breakage():
-    from concurrent.futures import BrokenExecutor
-
-    return BrokenExecutor
 
 
 # -- run-state assembly --------------------------------------------------------

@@ -588,7 +588,8 @@ def _stream_mark_run(
 
     try:
         if worker_count > 1:
-            from .parallel import parallel_mark, resolve_watchdog
+            from ..reliability.pool import resolve_watchdog
+            from .parallel import parallel_mark
 
             result.parallel = parallel_mark(
                 source, start, _commit_marked,
@@ -1245,7 +1246,8 @@ def stream_detect(
     engine, mode = _resolve_stream_backend(backend, key, chunk_size)
     resolved = _resolve_stream_domain(domain, source, spec)
     if worker_count > 1:
-        from .parallel import parallel_votes, resolve_watchdog
+        from ..reliability.pool import resolve_watchdog
+        from .parallel import parallel_votes
 
         reliability = ReliabilityReport()
         accumulators, chunks_seen, rows, report = parallel_votes(
@@ -1435,7 +1437,8 @@ def stream_verify_multipass(
     worker_count = resolve_workers(workers)
     pass_count = len(keys)
     if worker_count > 1:
-        from .parallel import parallel_votes, resolve_watchdog
+        from ..reliability.pool import resolve_watchdog
+        from .parallel import parallel_votes
 
         reliability = ReliabilityReport()
         accumulators, _, _, _ = parallel_votes(

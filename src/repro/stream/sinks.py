@@ -38,9 +38,13 @@ from ..reliability.faults import (
     fault_point,
     injection_armed,
 )
-from ..reliability.integrity import ChunkDigest, ChunkManifest, digest_rows
+from ..reliability.integrity import (
+    ChunkDigest,
+    ChunkManifest,
+    _quote_identifier,
+    digest_rows,
+)
 from .errors import StreamError
-from .sources import _quote_identifier
 
 
 class ChunkSink:

@@ -45,7 +45,11 @@ from ..datagen import (
 from ..relational import Schema, Table, infer_domains
 from ..relational.csvio import cell_parsers, check_header, parse_row
 from ..reliability.faults import fault_point
-from ..reliability.integrity import IntegrityError, digest_rows
+from ..reliability.integrity import (
+    IntegrityError,
+    _quote_identifier,
+    digest_rows,
+)
 from .errors import BadRowError, StreamError
 
 #: default rows per chunk — small enough that a chunk's Python objects
@@ -495,11 +499,6 @@ class CSVChunkSource(ChunkSource):
             self._sidecar.close()
             self._sidecar = None
             self._sidecar_writer = None
-
-
-def _quote_identifier(name: str) -> str:
-    """SQL-quote ``name`` for SQLite (doubles embedded quotes)."""
-    return '"' + name.replace('"', '""') + '"'
 
 
 def resolve_sqlite_table(path: str | Path, preferred: str | None) -> str:

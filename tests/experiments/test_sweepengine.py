@@ -10,6 +10,7 @@ the engine is free to pick the fastest path without changing the science.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -173,28 +174,49 @@ class TestEmbedHoisting:
         assert engine.embeds_performed == before + len(list(SEEDS))
 
 
+def _sleep_task(table, seconds):
+    """A pooled table task that outlives any short batch timeout."""
+    time.sleep(seconds)
+    return len(table)
+
+
 class TestPersistentPool:
     def test_pool_survives_across_runs(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        first_pool = sweepengine._pool
+        first_pool = sweepengine._POOL.executor
         assert first_pool is not None
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        assert sweepengine._pool is first_pool
+        assert sweepengine._POOL.executor is first_pool
 
     def test_new_table_retires_the_pool(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        first_pool = sweepengine._pool
+        first_pool = sweepengine._POOL.executor
         other = generate_item_scan(1000, item_count=80, seed=15)
         engine.run(other, PROTOCOL, _attacks(), SEEDS)
-        assert sweepengine._pool is not first_pool
+        assert sweepengine._POOL.executor is not first_pool
 
     def test_shutdown_clears_state(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
         shutdown_sweep_pool()
-        assert sweepengine._pool is None
+        assert sweepengine._POOL.executor is None
+        assert sweepengine._POOL.heartbeat_dir is None
+
+    def test_table_tasks_time_out_and_retire_the_pool(
+        self, base_table, monkeypatch
+    ):
+        # The batch ceiling is read at call time; a hung task trips it
+        # promptly, its worker is killed and the pool retired.
+        monkeypatch.setattr(sweepengine, "DEFAULT_TASK_TIMEOUT", 0.5)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            sweepengine.pool_table_tasks(
+                base_table, _sleep_task, [(30.0,)], max_workers=1
+            )
+        assert time.monotonic() - started < 10.0
+        assert sweepengine._POOL.executor is None
 
 
 class TestRunnerCompatibility:

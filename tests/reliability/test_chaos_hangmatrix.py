@@ -17,6 +17,7 @@ long.
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
@@ -314,8 +315,9 @@ class TestPoolStallChaos:
         ]
 
     def test_watchdog_kills_hung_worker_and_respawns_bit_identical(
-        self, base, chaos_report
+        self, base, chaos_report, caplog
     ):
+        caplog.set_level(logging.WARNING, logger="repro.reliability.pool")
         serial = SweepEngine(mode=MODE_SERIAL).run(
             base, self.PROTOCOL, self._attacks(), self.SEEDS
         )
@@ -334,6 +336,13 @@ class TestPoolStallChaos:
         assert self._flatten(pooled) == self._flatten(serial)
         report = engine.reliability_report()
         assert report.watchdog_kills >= 1
+        # every kill is logged, once
+        assert report.watchdog_kills == sum(
+            record.args[0]
+            for record in caplog.records
+            if record.name == "repro.reliability.pool"
+            and record.getMessage().startswith("watchdog killed")
+        )
         assert report.pool_respawns >= 1
         assert report.pool_fallbacks == 0
         chaos_report(report)

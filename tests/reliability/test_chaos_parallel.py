@@ -13,6 +13,7 @@ kill matrix to one boundary (the CI smoke job does).
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import subprocess
@@ -29,6 +30,8 @@ from repro.reliability import (
     HANG,
     KILL,
     CircuitBreaker,
+    Deadline,
+    DeadlineExceededError,
     FaultPlan,
     RetryPolicy,
     Watchdog,
@@ -106,6 +109,16 @@ def serial_verdict(base, key, spec):
     return stream_detect(TableChunkSource(base, chunk_size=CHUNK), key, spec)
 
 
+def _logged_watchdog_kills(caplog) -> int:
+    """Workers named by the pool's watchdog warnings."""
+    return sum(
+        record.args[0]
+        for record in caplog.records
+        if record.name == "repro.reliability.pool"
+        and record.getMessage().startswith("watchdog killed")
+    )
+
+
 def _assert_same_detection(parallel, serial):
     assert parallel.votes == serial.votes
     assert parallel.detection.watermark == serial.detection.watermark
@@ -130,9 +143,10 @@ class TestParallelDetectChaos:
         chaos_report(verdict.reliability)
 
     def test_hung_worker_is_watchdogged_and_redispatched(
-        self, base, key, spec, serial_verdict, chaos_report
+        self, base, key, spec, serial_verdict, chaos_report, caplog
     ):
         shutdown_stream_pool()
+        caplog.set_level(logging.WARNING, logger="repro.reliability.pool")
         plan = FaultPlan(hang_seconds=60.0).add("pool.worker", HANG, at=2)
         started = time.monotonic()
         with plan.armed():
@@ -144,8 +158,30 @@ class TestParallelDetectChaos:
         wall = time.monotonic() - started
         _assert_same_detection(verdict, serial_verdict)
         assert verdict.reliability.watchdog_kills >= 1
+        # every kill is logged, once
+        assert (
+            _logged_watchdog_kills(caplog)
+            == verdict.reliability.watchdog_kills
+        )
         assert wall < 30.0, f"watchdog recovery took {wall:.1f}s"
         chaos_report(verdict.reliability)
+
+    def test_parallel_deadline_expiry_raises_not_hangs(self, base, key, spec):
+        shutdown_stream_pool()
+        plan = FaultPlan(hang_seconds=60.0).add("pool.worker", HANG, at=0)
+        # No watchdog: the deadline alone must turn a 60 s worker hang
+        # into a prompt DeadlineExceededError, and kill the hung worker
+        # on the way out — a pool shutdown would otherwise wait for it.
+        with plan.armed():
+            with pytest.raises(DeadlineExceededError):
+                stream_detect(
+                    TableChunkSource(base, chunk_size=CHUNK), key, spec,
+                    workers=2, watchdog=False, deadline=Deadline(0.4),
+                )
+        started = time.monotonic()
+        shutdown_stream_pool()
+        wall = time.monotonic() - started
+        assert wall < 5.0, f"pool shutdown waited {wall:.1f}s on a hung worker"
 
     def test_breaker_degrades_to_serial_bit_identical(
         self, base, key, spec, serial_verdict, chaos_report
