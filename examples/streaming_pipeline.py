@@ -50,7 +50,7 @@ E = 60
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-stream-"))
     marked_path = workdir / "marked.csv.gz"
-    checkpoint = workdir / "mark.ckpt.json"
+    checkpoint = workdir / "mark.ckpt"
 
     # -- 1. the data: a lazy ItemScan stream (never whole in memory) --------
     source = item_scan_source(ROWS, chunk_size=CHUNK, item_count=500, seed=7)
@@ -96,7 +96,7 @@ def main() -> None:
     # budget picks up from the last durable chunk.  However many times
     # the deadline fires, the final bytes equal the uninterrupted run's.
     budgeted_path = workdir / "budgeted.csv.gz"
-    budgeted_ckpt = workdir / "budgeted.ckpt.json"
+    budgeted_ckpt = workdir / "budgeted.ckpt"
     attempts = 0
     while True:
         attempts += 1

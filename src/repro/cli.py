@@ -23,8 +23,9 @@ For relations too large to hold in memory, ``embed`` (alias ``mark``) and
 
 ``--input`` selects file mode (``--data`` loads in memory); the marked
 output is cell-identical either way, and streamed detection is
-bit-identical to the in-memory verdict.  ``--checkpoint`` makes the
-embed resumable after interruption (``--resume`` picks it back up).
+bit-identical to the in-memory verdict.  ``--checkpoint PATH`` makes
+the embed resumable after interruption (``--resume`` picks it back up):
+PATH is the run's one record file, a CRC-framed line per committed chunk.
 Streaming mode requires the schema JSON to declare the mark attribute's
 full domain and serves the association channel only.
 
@@ -48,16 +49,18 @@ plus the experiment harness (previously Python-API-only)::
 pass's embed/verify; ``--mode`` the sweep engine's execution mode
 (``serial`` re-embeds per cell — the reference cost model).
 
-Checkpointed embeds journal a chunk-hash manifest next to the
-checkpoint; ``repro-wm audit --output marked.csv --checkpoint run.ckpt``
-later verifies the output byte-for-byte against it, localizing any
-corruption to the exact chunk.  ``--resume --verify-resume`` re-hashes
+The record also holds every chunk's sha256;
+``repro-wm audit --output marked.csv --checkpoint run.ckpt`` later
+verifies the output byte-for-byte against it, localizing any corruption
+to the exact chunk.  ``--resume --verify-resume`` re-hashes
 the surviving prefix before continuing, and ``--lock`` holds a lease so
 two concurrent resumes of the same run cannot interleave.
 
 ``detect`` exits 0 when the watermark is detected and 3 when it is not, so
 the tool composes into shell pipelines.  Failures carry their own codes:
-4 for a corrupt checkpoint with no verified rollback target, 5 when
+4 for a run record that cannot be trusted (its header is torn or
+rotted, or it is a JSON checkpoint from an earlier version — restart
+without ``--resume``), 5 when
 ``--retries`` was exhausted by persistent transient I/O failures, 6
 when a malformed CSV row aborted the run under ``--on-bad-rows raise``,
 7 when a ``--deadline`` budget expired (the run stops at a resumable
@@ -96,8 +99,9 @@ from .relational import (
 #: exit code for "ran fine, watermark not detected"
 EXIT_NOT_DETECTED = 3
 
-#: a checkpoint failed CRC/schema verification and no verified rollback
-#: target survived — the run must not silently restart from scratch
+#: the run record's header failed CRC/version verification (rotted, or
+#: an earlier version's JSON checkpoint) — the run must restart without
+#: --resume, never silently from scratch
 EXIT_CHECKPOINT_CORRUPT = 4
 
 #: a transient I/O failure outlived the retry budget (``--retries``)
@@ -112,7 +116,7 @@ EXIT_BAD_ROWS = 6
 EXIT_DEADLINE_EXCEEDED = 7
 
 #: an integrity violation: `repro-wm audit` found chunks whose bytes no
-#: longer match the journalled manifest, a verified read hit a rotted
+#: longer match the run record, a verified read hit a rotted
 #: source chunk, or another live process holds the run lease
 EXIT_INTEGRITY = 8
 
@@ -577,22 +581,18 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    """Verify a marked output against its chunk-hash journal.
+    """Verify a marked output against its run record.
 
-    Re-hashes every journalled chunk of the CSV/.csv.gz/SQLite output and
+    Re-hashes every recorded chunk of the CSV/.csv.gz/SQLite output and
     localizes any corruption to the exact chunk, so an operator can tell
     "the archive rotted at chunk 17" apart from "the whole file is fake".
     Exit code 0 = every chunk verifies; 8 = integrity violation.
     """
-    from .reliability import audit_stream, journal_path
+    from .reliability import audit_stream
 
-    if (args.checkpoint is None) == (args.journal is None):
-        raise SystemExit(
-            "exactly one of --checkpoint (journal lives next to it) and "
-            "--journal is required"
-        )
-    journal = args.journal or journal_path(args.checkpoint)
-    report = audit_stream(args.output, journal=journal, table=args.table)
+    report = audit_stream(
+        args.output, journal=args.checkpoint, table=args.table
+    )
     print(report.summary())
     if args.json:
         Path(args.json).write_text(
@@ -671,7 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     embed.add_argument(
         "--checkpoint", default=None,
-        help="checkpoint JSON path making a file-mode embed resumable",
+        help="run record path making a file-mode embed resumable (one "
+             "CRC-framed line per committed chunk; also what `audit` "
+             "reads)",
     )
     embed.add_argument(
         "--resume", action="store_true",
@@ -702,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument(
         "--verify-resume", action="store_true",
         help="with --resume: re-hash the surviving output against the "
-             "chunk journal and rewind to the last verified chunk, so "
+             "run record and rewind to the last verified chunk, so "
              "recovery stays byte-identical even under silent bit rot",
     )
     embed.add_argument(
@@ -718,19 +720,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser(
         "audit",
-        help="verify a marked output against its chunk-hash journal",
+        help="verify a marked output against its run record",
     )
     audit.add_argument(
         "--output", required=True,
         help="marked CSV/.csv.gz/SQLite output to verify",
     )
     audit.add_argument(
-        "--checkpoint", default=None,
-        help="checkpoint path of the embed run (journal sits next to it)",
-    )
-    audit.add_argument(
-        "--journal", default=None,
-        help="explicit journal path (instead of --checkpoint)",
+        "--checkpoint", required=True,
+        help="--checkpoint path of the embed run (its run record)",
     )
     audit.add_argument(
         "--table", default="relation",
@@ -894,7 +892,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CheckpointCorruptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(
+            f"error: {exc}\n(the run record cannot be trusted; restart "
+            f"the embed without --resume)",
+            file=sys.stderr,
+        )
         return EXIT_CHECKPOINT_CORRUPT
     except RetryError as exc:
         cause = exc.__cause__

@@ -1,13 +1,13 @@
 """Fault injection + crash-safe retry/recovery for the long-running paths.
 
 The §5 protocol claims only hold if a multi-hour streaming mark/detect
-run actually completes and its checkpoints can be trusted.  This package
+run actually completes and its run record can be trusted.  This package
 makes recovery *provable* instead of hoped-for:
 
 * :mod:`~repro.reliability.faults` — a seeded, label-addressed
   :class:`FaultPlan` that injection points across ``repro.stream`` and
   the sweep pool consult, raising deterministic ``IOError``/torn-write/
-  truncated-gzip/corrupted-JSON/``SIGKILL`` faults at chosen chunk or
+  truncated-gzip/bit-rot/``SIGKILL`` faults at chosen chunk or
   cell indices (zero overhead when no plan is armed);
 * :mod:`~repro.reliability.retry` — a :class:`RetryPolicy` (bounded
   attempts, exponential backoff, deterministic jitter) plus the shared
@@ -30,8 +30,9 @@ makes recovery *provable* instead of hoped-for:
   after K consecutive transient failures on one label, steering runs
   down the bit-identical degradation ladders instead of retrying
   forever;
-* :mod:`~repro.reliability.integrity` — chunk-hash manifests journalled
-  next to the checkpoint, :func:`audit_stream` corruption localization,
+* :mod:`~repro.reliability.integrity` — the one run record of a
+  checkpointed embed (chunk-hash manifest, counter deltas and sink state
+  per chunk, CRC per line), :func:`audit_stream` corruption localization,
   verified (re-hashing) resume, and the :class:`RunLock` lease that
   makes concurrent embed/resume exactly-once.
 
@@ -46,7 +47,6 @@ from .budget import MemoryBudget, rss_bytes
 from .deadline import Deadline, DeadlineExceededError, check_deadline
 from .faults import (
     BITFLIP,
-    CORRUPT_JSON,
     DISK_FULL,
     Fault,
     FaultPlan,
@@ -75,6 +75,7 @@ from .integrity import (
     audit_stream,
     digest_rows,
     journal_path,
+    mark_fingerprint,
 )
 from .report import ReliabilityReport
 from .retry import (
@@ -91,7 +92,6 @@ from .watchdog import Watchdog, beat
 __all__ = [
     "AuditReport",
     "BITFLIP",
-    "CORRUPT_JSON",
     "ChunkDigest",
     "ChunkManifest",
     "CircuitBreaker",
@@ -132,5 +132,6 @@ __all__ = [
     "fault_point",
     "injection_armed",
     "journal_path",
+    "mark_fingerprint",
     "rss_bytes",
 ]

@@ -3,15 +3,17 @@
 Recovery code that has never seen a failure is untested code.  This
 module lets the test suite (and the chaos benches) schedule *precise*
 failures — an ``IOError`` on chunk 3's sink write, a torn gzip member on
-flush 2, a corrupted checkpoint payload, a ``SIGKILL`` at a chunk
-boundary, a dead pool worker on seed 1 — and then assert that the
+flush 2, a torn run-record line, a ``SIGKILL`` at a chunk boundary, a
+dead pool worker on seed 1 — and then assert that the
 retry/recovery layer restores a byte-identical outcome.
 
 Design rules, mirroring the repo's determinism contract:
 
 * **Label-addressed** — every injection point has a literal label
-  (``"sink.write"``, ``"source.read"``, ``"checkpoint.save"``,
-  ``"pool.worker"``, ...) and a zero-based index (chunk index, seed);
+  (``"source.read"``, ``"sink.write"``, ``"sink.write.mid"``,
+  ``"sink.flush"``, ``"sink.bitflip"``, ``"journal.append"``,
+  ``"pipeline.embed"``, ``"pipeline.chunk"``, ``"pool.worker"``) and a
+  zero-based index (chunk index, seed);
   a :class:`FaultPlan` schedules fault *kinds* at ``(label, index)``
   addresses with a bounded trigger count, so fault sequences are
   order-independent and reproducible run to run.
@@ -44,17 +46,12 @@ from dataclasses import dataclass
 IO_ERROR = "io-error"
 
 #: cooperative: the injection point persists a *partial* write (a half
-#: chunk, a prefix of a JSON payload) and then fails
+#: chunk, half a run-record line) and then fails
 TORN_WRITE = "torn-write"
 
 #: cooperative: a gzip sink flushes a member with no trailer (compressed
 #: bytes on disk, stream not closed) and then fails
 TRUNCATED_GZIP = "truncated-gzip"
-
-#: cooperative: a JSON payload is written bit-rotted but syntactically
-#: plausible — the "silently corrupted checkpoint" case CRC verification
-#: exists to catch
-CORRUPT_JSON = "corrupt-json"
 
 #: the process dies on the spot (``SIGKILL`` — no atexit, no flush), or a
 #: pool worker is instructed to die mid-task
@@ -89,7 +86,7 @@ BITFLIP = "bitflip"
 DISK_FULL = "disk-full"
 
 KINDS = (
-    IO_ERROR, TORN_WRITE, TRUNCATED_GZIP, CORRUPT_JSON, KILL,
+    IO_ERROR, TORN_WRITE, TRUNCATED_GZIP, KILL,
     HANG, SLOW, MEMORY, BITFLIP, DISK_FULL,
 )
 
@@ -250,7 +247,7 @@ def fault_point(label: str, index: int) -> str | None:
     * raises :class:`InjectedFaultError` with ``errno=ENOSPC`` for
       :data:`DISK_FULL` — the graceful-stop path, never retried,
     * returns the kind for the cooperative faults (:data:`TORN_WRITE`,
-      :data:`TRUNCATED_GZIP`, :data:`CORRUPT_JSON`, :data:`BITFLIP`) —
+      :data:`TRUNCATED_GZIP`, :data:`BITFLIP`) —
       the injection point itself performs the partial/corrupted write
       and then fails (or, for :data:`BITFLIP`, silently continues).
     """

@@ -1,20 +1,21 @@
-"""End-to-end integrity: chunk-hash manifests, audit, and run leases.
+"""End-to-end integrity: the run record, audit, and run leases.
 
-The crash-safety layer (checkpoints, retries) recovers from *loud*
-failures — an exception, a SIGKILL.  This module covers the *quiet*
-ones: a bit flips in an already-flushed chunk, a disk fills mid-member,
-a second ``--resume`` process races the first.  Three mechanisms:
+The crash-safety layer (retries, resume) recovers from *loud* failures —
+an exception, a SIGKILL.  This module also covers the *quiet* ones: a
+bit flips in an already-flushed chunk, a disk fills mid-member, a second
+``--resume`` process races the first.  Three mechanisms:
 
-* **Chunk-hash manifest** — every sink ``write_chunk`` records a
-  sha256 content digest plus its byte range (CSV/gzip) or rowid range
-  (SQLite) in a :class:`ChunkManifest`.  The streaming pipeline appends
-  each entry, together with the chunk's counter deltas and durable sink
-  state, to an append-only *journal* file next to the checkpoint
-  (``<checkpoint>.journal``, CRC-guarded JSONL).  :func:`audit_stream`
-  re-hashes any marked output against its journal and localizes damage
-  to the exact chunk.
+* **Run record** — every sink ``write_chunk`` records a sha256 content
+  digest plus its byte range (CSV/gzip) or rowid range (SQLite) in a
+  :class:`ChunkManifest`.  A checkpointed streaming embed appends each
+  entry, together with the chunk's counter deltas and durable sink
+  state, to one append-only file at the checkpoint path (CRC-framed
+  JSONL).  That file is the run's only resume record: resume restores
+  from its last CRC-valid chunk record, and :func:`audit_stream`
+  re-hashes any marked output against it, localizing damage to the
+  exact chunk.
 * **Verified resume** — instead of trusting the surviving output
-  prefix, resume re-hashes it against the journal and rewinds to the
+  prefix, resume re-hashes it against the record and rewinds to the
   last *verified* chunk, so recovery stays byte-identical even under
   bit-rot (see ``stream_mark(verify_resume=True)``).
 * **Run lease** — :class:`RunLock` is an ``O_EXCL`` lease file (pid +
@@ -38,10 +39,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .faults import BITFLIP, fault_point, injection_armed, active_plan
+from .faults import (
+    BITFLIP,
+    TORN_WRITE,
+    InjectedFaultError,
+    active_plan,
+    fault_point,
+)
 
-#: journal line-format version (bumped on incompatible change; a
-#: mismatched journal is treated as absent, never misread)
+#: record line-format version (bumped on incompatible change; a
+#: mismatched record is refused, never misread)
 JOURNAL_VERSION = 1
 
 #: only digest algorithm currently recorded; named in the journal header
@@ -184,19 +191,37 @@ class ChunkManifest:
 
 
 # ---------------------------------------------------------------------------
-# the journal: append-only manifest + per-chunk deltas, CRC per line
+# the run record: append-only manifest + per-chunk deltas, CRC per line
 # ---------------------------------------------------------------------------
 #
-# Line 1 is a header record binding the journal to one run fingerprint
-# and sink kind; every further line is one committed chunk.  Each line
-# carries a CRC-32 over its sorted-keys JSON body (the checkpoint
-# module's convention), so a torn or bit-rotted tail is *detected and
-# dropped*, preserving the valid prefix — the property resume needs.
+# Line 1 is a header record binding the file to one run fingerprint and
+# sink kind; every further line is one committed chunk.  Each line
+# carries a CRC-32 over its sorted-keys JSON body, so a torn or
+# bit-rotted tail is *detected and dropped*, preserving the valid
+# prefix — the property resume needs.
 
 
 def journal_path(checkpoint_path) -> Path:
-    """The journal that rides along with ``checkpoint_path``."""
-    return Path(str(checkpoint_path) + ".journal")
+    """The run record of a checkpointed embed: the checkpoint file
+    itself (``--checkpoint PATH`` names the record)."""
+    return Path(checkpoint_path)
+
+
+def mark_fingerprint(key, spec, watermark) -> str:
+    """One-way identity of a (key, spec, watermark) streaming run.
+
+    The record header carries this instead of any secret material, and
+    resume refuses a record whose fingerprint differs — resuming with
+    mismatched parameters would silently produce a half-marked relation.
+    """
+    payload = json.dumps(
+        {"spec": spec.to_dict(), "watermark": watermark.to_bitstring()},
+        sort_keys=True,
+    ).encode("utf-8")
+    digest = hashlib.sha256(
+        b"stream-checkpoint|" + key.k1 + b"|" + key.k2 + b"|" + payload
+    )
+    return digest.hexdigest()[:32]
 
 
 def _line_crc(body: dict) -> int:
@@ -211,7 +236,9 @@ def _encode_line(body: dict) -> bytes:
 
 
 def _decode_line(line: bytes) -> dict | None:
-    """Parse one journal line; ``None`` for anything torn or rotted."""
+    """Parse one record line; ``None`` for anything torn or rotted."""
+    if not line.endswith(b"\n"):
+        return None  # torn: the write never reached the line's end
     try:
         record = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
@@ -232,7 +259,7 @@ def write_journal_header(
     header_entry: ChunkDigest | None,
     open_state: dict | None,
 ) -> None:
-    """Start (or restart) a journal: truncate and write the header line."""
+    """Start (or restart) a record: truncate and write the header line."""
     body = {
         "record": "header",
         "journal_version": JOURNAL_VERSION,
@@ -273,32 +300,34 @@ def append_journal_chunk(
         pos = rng.randrange(len(line) - 1)
         line = line[:pos] + bytes([line[pos] ^ (1 << rng.randrange(8))]) + line[pos + 1:]
     with open(path, "ab") as handle:
+        if kind == TORN_WRITE:
+            # half the line lands durably, then the write fails: resume
+            # drops the torn tail, a retry truncates it away first
+            line = line[: len(line) // 2]
         handle.write(line)
         handle.flush()
         os.fsync(handle.fileno())
+    if kind == TORN_WRITE:
+        raise InjectedFaultError("journal.append", index, TORN_WRITE)
 
 
-def load_journal(path) -> tuple[dict | None, list]:
-    """Read a journal tolerantly: ``(header, chunk_records)``.
-
-    Any undecodable or out-of-sequence line ends the read — everything
-    before it is the trusted prefix.  A missing file, or a header that
-    fails validation, returns ``(None, [])``.
-    """
+def _scan_journal(path) -> tuple[dict | None, list, list]:
+    """``(header, records, ends)``: the trusted prefix of a record file
+    and the byte offset just past each of its lines (``ends[0]`` ends
+    the header line)."""
     try:
         with open(path, "rb") as handle:
             lines = handle.readlines()
-    except (FileNotFoundError, OSError):
-        return None, []
-    if not lines:
-        return None, []
-    header = _decode_line(lines[0])
+    except OSError:
+        return None, [], []
+    header = _decode_line(lines[0]) if lines else None
     if (
         header is None
         or header.get("record") != "header"
         or header.get("journal_version") != JOURNAL_VERSION
     ):
-        return None, []
+        return None, [], []
+    ends = [len(lines[0])]
     records = []
     for line in lines[1:]:
         record = _decode_line(line)
@@ -310,22 +339,36 @@ def load_journal(path) -> tuple[dict | None, list]:
         ):
             break
         records.append(record)
+        ends.append(ends[-1] + len(line))
+    return header, records, ends
+
+
+def load_journal(path) -> tuple[dict | None, list]:
+    """Read a record file tolerantly: ``(header, chunk_records)``.
+
+    Any undecodable or out-of-sequence line ends the read — everything
+    before it is the trusted prefix.  A missing file, or a header that
+    fails validation, returns ``(None, [])``.
+    """
+    header, records, _ = _scan_journal(path)
     return header, records
 
 
-def truncate_journal(path, chunks: int) -> None:
-    """Rewrite the journal keeping the header plus ``chunks`` records."""
-    header, records = load_journal(path)
+def truncate_journal(path, chunks: int) -> int:
+    """Cut the record back, in place, to its header plus the first
+    ``chunks`` chunk records (and never past its trusted prefix, so a
+    torn or rotted tail goes too).  Returns the number of bytes cut."""
+    header, records, ends = _scan_journal(path)
     if header is None:
-        return
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_encode_line(header))
-        for record in records[:chunks]:
-            handle.write(_encode_line(record))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+        return 0
+    keep = ends[min(chunks, len(records))]
+    size = os.path.getsize(path)
+    if size > keep:
+        with open(path, "r+b") as handle:
+            handle.truncate(keep)
+            handle.flush()
+            os.fsync(handle.fileno())
+    return size - keep
 
 
 def manifest_from_journal(header: dict, records: list) -> ChunkManifest:
@@ -564,11 +607,11 @@ def audit_stream(
 ) -> AuditReport:
     """Verify a marked output against its chunk-hash manifest.
 
-    Pass either the ``journal`` path recorded at mark time (usually
-    ``<checkpoint>.journal``) or an in-memory ``manifest``.  Returns an
-    :class:`AuditReport` that localizes any damage to the exact chunk;
+    Pass either the ``journal`` written at mark time (the run record at
+    the embed's checkpoint path) or an in-memory ``manifest``.  Returns
+    an :class:`AuditReport` that localizes any damage to the exact chunk;
     raises :class:`IntegrityError` only when the manifest itself is
-    unusable (missing/corrupt journal).
+    unusable (missing record, or a header that fails its CRC).
     """
     if manifest is None:
         if journal is None:
@@ -578,7 +621,7 @@ def audit_stream(
         header, records = load_journal(journal)
         if header is None:
             raise IntegrityError(
-                journal, "journal is missing or its header failed CRC"
+                journal, "run record is missing or its header failed CRC"
             )
         manifest = manifest_from_journal(header, records)
     if manifest.kind == "rows":

@@ -22,6 +22,8 @@ fallback, the stream's ordered commit and parallel → serial fallback).
 
 from __future__ import annotations
 
+import atexit
+import glob
 import logging
 import os
 import shutil
@@ -33,6 +35,7 @@ from typing import Any, NamedTuple
 
 from .deadline import Deadline
 from .faults import HANG, KILL, MEMORY, SLOW, InjectedFaultError, active_plan
+from .integrity import _pid_alive
 from .report import ReliabilityReport
 from .watchdog import BUSY, IDLE, Watchdog, beat
 
@@ -124,6 +127,43 @@ def worker_beat(state: str = BUSY) -> None:
     beat(_HEARTBEAT_DIR, state=state)
 
 
+# -- heartbeat directories ---------------------------------------------------
+
+# Heartbeat directories this process created and has not removed yet,
+# mapped to the owner pid (a forked child inherits the map, and must not
+# remove its parent's directories at its own exit).
+_LIVE_DIRS: dict[str, int] = {}
+
+
+def _make_heartbeat_dir(name: str) -> str:
+    """A fresh ``<name>-heartbeat-<pid>-*`` directory in the temp dir.
+
+    The owner pid in the name lets the next spawn remove directories a
+    killed owner left behind; one ``atexit`` hook removes this process's
+    own at a normal exit, even when no pool was shut down.
+    """
+    prefix = os.path.join(tempfile.gettempdir(), f"{name}-heartbeat-")
+    for path in glob.glob(glob.escape(prefix) + "*-*"):
+        owner = path[len(prefix):].split("-", 1)[0]
+        if owner.isdigit() and not _pid_alive(int(owner)):
+            shutil.rmtree(path, ignore_errors=True)
+    path = tempfile.mkdtemp(prefix=f"{name}-heartbeat-{os.getpid()}-")
+    _LIVE_DIRS[path] = os.getpid()
+    return path
+
+
+def _remove_heartbeat_dir(path: str) -> None:
+    shutil.rmtree(path, ignore_errors=True)
+    _LIVE_DIRS.pop(path, None)
+
+
+@atexit.register
+def _remove_heartbeat_dirs() -> None:
+    for path, owner in list(_LIVE_DIRS.items()):
+        if owner == os.getpid():
+            _remove_heartbeat_dir(path)
+
+
 # -- the pool ----------------------------------------------------------------
 
 class WorkerPool:
@@ -156,7 +196,7 @@ class WorkerPool:
         self.shutdown()
         from concurrent.futures import ProcessPoolExecutor
 
-        self.heartbeat_dir = tempfile.mkdtemp(prefix=f"{self.name}-heartbeat-")
+        self.heartbeat_dir = _make_heartbeat_dir(self.name)
         self.executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_bootstrap,
@@ -180,7 +220,7 @@ class WorkerPool:
                 Watchdog.kill(self.pids())
             self.executor.shutdown(wait=True, cancel_futures=True)
         if self.heartbeat_dir is not None:
-            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+            _remove_heartbeat_dir(self.heartbeat_dir)
         self.executor = None
         self.heartbeat_dir = None
         self._key = None

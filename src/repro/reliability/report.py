@@ -24,8 +24,8 @@ class ReliabilityReport:
     sink_rollbacks: int = 0
     #: source re-opens at a chunk boundary after a read failure
     source_reopens: int = 0
-    #: resumes that fell back to the previous (``.prev``) checkpoint
-    #: because the newest one failed verification
+    #: resumes that cut a torn or rotted tail off the run record and
+    #: restarted from its last CRC-valid chunk record
     checkpoint_rollbacks: int = 0
     #: malformed input rows skipped or quarantined (CSV ``on_bad_rows``)
     bad_rows: int = 0

@@ -3,7 +3,7 @@
 A :class:`RetryPolicy` describes *how often* and *how patiently* an I/O
 boundary is retried; :func:`call_with_retry` applies it around one
 idempotent operation (a sink write after rollback to the last durable
-marker, a checkpoint save, a chunk re-read).  Two properties matter:
+marker, a run-record append, a chunk re-read).  Two properties matter:
 
 * **classification** — only *transient* faults are retried.  Real I/O
   errors (``OSError`` and friends, SQLite's operational errors, torn

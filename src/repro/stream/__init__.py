@@ -8,7 +8,7 @@ the tuple's key value, so marking and detection chunk perfectly:
   ``datagen``-backed synthetic streams) yield schema-typed
   :class:`~repro.relational.Table` chunks;
 * **pipelines** — :func:`stream_mark` maps chunks through the existing
-  embed kernels into a :class:`ChunkSink` (checkpointed, resumable);
+  embed kernels into a :class:`ChunkSink` (resumable from one run record);
   :func:`stream_verify` / :func:`stream_verify_multipass` merge per-chunk
   vote tallies in O(chunk + channel) memory, bit-identical to the
   in-memory detector on the concatenated rows;
@@ -20,13 +20,6 @@ Opens the million-row / on-disk workload class the in-memory
 :class:`~repro.relational.Table` paths cap out on.
 """
 
-from .checkpoint import (
-    MarkCheckpoint,
-    load_checkpoint,
-    load_verified_checkpoint,
-    mark_fingerprint,
-    save_checkpoint,
-)
 from .errors import (
     BadRowError,
     CheckpointCorruptError,
@@ -84,7 +77,6 @@ __all__ = [
     "ChunkSource",
     "ChunkTask",
     "DEFAULT_CHUNK_SIZE",
-    "MarkCheckpoint",
     "MultiFileChunkSource",
     "NullChunkSink",
     "ParallelReport",
@@ -99,15 +91,11 @@ __all__ = [
     "TableChunkSource",
     "count_data_rows",
     "item_scan_source",
-    "load_checkpoint",
-    "load_verified_checkpoint",
-    "mark_fingerprint",
     "open_sink",
     "open_source",
     "open_sources",
     "payload_chunks",
     "resolve_workers",
-    "save_checkpoint",
     "shutdown_stream_pool",
     "stream_detect",
     "stream_engine",

@@ -8,18 +8,20 @@ class StreamError(Exception):
 
 
 class CheckpointError(StreamError):
-    """A checkpoint file is unreadable or belongs to a different run."""
+    """A run record (the checkpoint) is missing or belongs to a different
+    run."""
 
 
 class CheckpointCorruptError(CheckpointError):
-    """A checkpoint payload failed CRC or schema-version verification.
+    """A run record's header line failed CRC or version verification.
 
-    Distinct from a *missing* checkpoint: corruption means the file was
-    written and then damaged (torn write, bit rot, a crash mid-rename),
-    and resuming from it would silently produce a half-marked relation.
-    The error names the file and the byte offset where verification
-    failed so operators can inspect the damage; resume falls back to the
-    last verified (``.prev``) checkpoint when one survives.
+    Distinct from a *missing* checkpoint: the file exists but cannot be
+    trusted at all — its header was torn or rotted, or it is a JSON
+    checkpoint written by an earlier version — and resuming from it
+    would silently produce a half-marked relation.  The error names the
+    file and the byte offset where verification failed; the run must
+    restart without resume.  (A damaged *tail* is not this error: resume
+    cuts it off and continues from the last CRC-valid chunk record.)
     """
 
     def __init__(self, path, reason: str, offset: int = 0):

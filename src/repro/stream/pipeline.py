@@ -9,7 +9,8 @@ are embarrassingly chunkable:
   kernels on each chunk (the NumPy vector kernel for large chunks, on one
   warm stream-scoped :class:`~repro.crypto.HashEngine`), and pushes the
   marked chunks into a :class:`~repro.stream.sinks.ChunkSink` — with an
-  optional checkpoint file making the run resumable after interruption;
+  optional run record (the checkpoint) making the run resumable after
+  interruption;
 * :func:`stream_verify` / :func:`stream_verify_multipass` keep running
   per-slot vote accumulators (:class:`~repro.core.VoteAccumulator`) that
   merge each chunk's bincount tallies associatively, preserving the
@@ -66,9 +67,9 @@ from ..reliability.integrity import (
     RunLock,
     append_journal_chunk,
     audit_stream,
-    journal_path,
     load_journal,
     manifest_from_journal,
+    mark_fingerprint,
     truncate_journal,
     write_journal_header,
 )
@@ -81,13 +82,7 @@ from ..reliability.retry import (
     call_with_retry,
     classify,
 )
-from .checkpoint import (
-    MarkCheckpoint,
-    load_verified_checkpoint,
-    mark_fingerprint,
-    save_checkpoint,
-)
-from .errors import CheckpointError, StreamError
+from .errors import CheckpointCorruptError, CheckpointError, StreamError
 from .sinks import ChunkSink
 from .sources import DEFAULT_CHUNK_SIZE, resolve_chunks, source_schema
 
@@ -297,7 +292,6 @@ def stream_mark(
     breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
-    manifest: bool | None = None,
     verify_resume: bool = False,
     lock: bool = False,
 ) -> StreamMarkResult:
@@ -310,11 +304,17 @@ def stream_mark(
     function of ``(key, tuple key value)``, the concatenated sink output
     is cell-identical to an in-memory embed of the whole relation.
 
-    With ``checkpoint_path`` the pipeline flushes the sink and atomically
-    records progress after every chunk; ``resume=True`` picks up from the
-    last record (verifying, via a keyless fingerprint, that key, spec and
-    watermark match the interrupted run) and produces output identical to
-    an uninterrupted run.
+    With ``checkpoint_path`` the pipeline keeps one durable run record
+    there (see :mod:`repro.reliability.integrity`): a header line, then
+    after every chunk a sink flush and one appended CRC-framed line with
+    the chunk's sha256, its counter deltas and the sink's durable state.
+    ``resume=True`` picks up from the last CRC-valid line (verifying, via
+    a keyless fingerprint, that key, spec and watermark match the
+    interrupted run), cuts off a torn or rotted tail, and produces output
+    identical to an uninterrupted run.  A record that does not start
+    with a valid header — rotted, or a JSON checkpoint from an earlier
+    version — is refused with :class:`CheckpointCorruptError`.  The sink
+    must be able to record chunk digests (CSV, gzip or SQLite).
 
     ``constraints_factory`` builds a fresh constraint list per chunk
     (constraints are stateful, so instances cannot be shared across
@@ -327,31 +327,27 @@ def stream_mark(
 
     A ``retry`` policy arms the recovery layer: transient failures of
     source reads (re-open at the failed chunk boundary), sink writes
-    (roll back to the last durable marker, rewrite the chunk) and
-    checkpoint saves are retried with deterministic backoff, and every
-    recovery action is counted in ``result.reliability``.  ``retry=None``
-    (the default) keeps the historical fail-fast behavior.  Resume always
-    prefers the newest checkpoint that passes CRC verification, falling
-    back to the rotated ``.prev`` record when the newest is corrupt.
+    (roll back to the last durable marker, rewrite the chunk) and record
+    appends (truncate the torn line, append again) are retried with
+    deterministic backoff, and every recovery action is counted in
+    ``result.reliability``.  ``retry=None`` (the default) keeps the
+    historical fail-fast behavior.
 
     ``workers`` fans the per-chunk embed kernels across a persistent
     process pool (``"auto"`` sizes it from ``cpu_count``); the ordered
     commit loop writes marked chunks to the sink in sequence, so output
-    bytes, checkpoints and ``--resume`` stay identical to ``workers=1``.
+    bytes, records and ``--resume`` stay identical to ``workers=1``.
     ``watchdog`` (parallel runs only) heartbeat-monitors pool workers;
     pass ``False`` to disable the default watchdog.
 
-    Integrity layer (see :mod:`repro.reliability.integrity`):
-    ``manifest`` arms per-chunk sha256 recording in the sink, journalled
-    next to the checkpoint (``<checkpoint>.journal``) so
-    :func:`~repro.reliability.integrity.audit_stream` can localize any
-    later corruption to the exact chunk.  The default (``None``) arms it
-    automatically whenever a ``checkpoint_path`` is given and the sink
-    supports it — hashing never changes the output bytes.
-    ``verify_resume=True`` makes resume re-hash the surviving output
-    prefix against the journal instead of trusting it, rewinding to the
-    last *verified* chunk (bit-rot in the prefix is rewritten, and the
-    final output stays byte-identical to an uninterrupted run).
+    Integrity layer: the record's chunk digests let
+    :func:`~repro.reliability.integrity.audit_stream` localize any later
+    corruption of the output to the exact chunk (hashing never changes
+    the output bytes).  ``verify_resume=True`` makes resume re-hash the
+    surviving output prefix against the record instead of trusting it,
+    rewinding to the last *verified* chunk (bit-rot in the prefix is
+    rewritten, and the final output stays byte-identical to an
+    uninterrupted run).
     ``lock=True`` takes an ``O_EXCL`` run lease on the checkpoint/sink
     pair so a concurrent embed/resume of the same output fails fast with
     :class:`~repro.reliability.integrity.RunLockedError` instead of
@@ -396,35 +392,23 @@ def stream_mark(
     fingerprint = mark_fingerprint(key, spec, watermark)
     reliability = result.reliability
 
-    supports_manifest = getattr(sink, "supports_manifest", False)
-    record_manifest = (
-        manifest if manifest is not None
-        else (checkpoint_path is not None and supports_manifest)
-    )
-    if record_manifest and not supports_manifest:
+    if checkpoint_path is not None and not getattr(
+        sink, "supports_manifest", False
+    ):
         raise StreamError(
-            f"{type(sink).__name__} cannot record a chunk-hash manifest; "
-            f"use a CSV/gzip/SQLite sink or pass manifest=False"
+            f"{type(sink).__name__} cannot be checkpointed: the run record "
+            f"holds every chunk's digest, so use a CSV/gzip/SQLite sink"
         )
+    if resume and checkpoint_path is None:
+        raise CheckpointError("resume=True needs a checkpoint_path")
     if verify_resume and not resume:
         raise StreamError("verify_resume=True requires resume=True")
-    if verify_resume and not record_manifest:
-        raise StreamError(
-            "verified resume needs the chunk-hash manifest: keep "
-            "manifest recording enabled (a checkpoint_path plus a "
-            "manifest-capable sink)"
-        )
-    journal = (
-        journal_path(checkpoint_path)
-        if record_manifest and checkpoint_path is not None
-        else None
-    )
 
     run_lock = None
     if lock:
         # The lease guards the whole run, resume inspection included — a
-        # concurrent process must not even read the checkpoint while we
-        # may be rewriting it.
+        # concurrent process must not even read the record while we may
+        # be rewriting it.
         run_lock = RunLock(
             _lock_path(checkpoint_path, sink), fingerprint=fingerprint
         )
@@ -433,79 +417,27 @@ def stream_mark(
 
     start = 0
     try:
+        if checkpoint_path is not None:
+            sink.arm_manifest()
         if resume:
-            if checkpoint_path is None:
-                raise CheckpointError("resume=True needs a checkpoint_path")
-            checkpoint, rolled_back = load_verified_checkpoint(checkpoint_path)
-            if checkpoint is None:
-                raise CheckpointError(
-                    f"no checkpoint to resume from at {checkpoint_path}"
-                )
-            if rolled_back:
-                reliability.checkpoint_rollbacks += 1
-            if checkpoint.fingerprint != fingerprint:
-                raise CheckpointError(
-                    "checkpoint belongs to a different (key, spec, watermark) "
-                    "run — refusing to resume into a half-marked relation"
-                )
-            if verify_resume:
-                start = _verified_restore(
-                    result, sink, schema, journal, fingerprint, reliability
-                )
-            else:
-                start = checkpoint.chunks_done
-                _restore_result(result, checkpoint)
-                prefix = None
-                if journal is not None:
-                    jheader, jrecords = load_journal(journal)
-                    if (
-                        jheader is not None
-                        and jheader.get("fingerprint") == fingerprint
-                        and len(jrecords) >= start
-                    ):
-                        prefix = manifest_from_journal(
-                            jheader, jrecords[:start]
-                        )
-                    else:
-                        # The journal is missing, foreign, or shorter than
-                        # the checkpoint: the prefix digests cannot be
-                        # reconstructed, so recording cannot continue
-                        # coherently — drop it rather than leave a
-                        # misleading half-manifest for a later audit.
-                        logger.warning(
-                            "chunk-hash journal at %s is missing or does "
-                            "not match this run; manifest recording "
-                            "disabled for the resumed run", journal,
-                        )
-                        try:
-                            os.unlink(journal)
-                        except OSError:
-                            pass
-                        journal = None
-                        record_manifest = False
-                if record_manifest:
-                    sink.arm_manifest()
-                sink.restore(schema, checkpoint.sink_state)
-                if prefix is not None:
-                    sink.restore_manifest(prefix)
-                    truncate_journal(journal, start)
+            start = _restore(
+                result, sink, schema, checkpoint_path, fingerprint,
+                reliability, verify=verify_resume,
+            )
         else:
-            if record_manifest:
-                sink.arm_manifest()
             sink.open(schema)
-            _start_journal(journal, sink, fingerprint)
+            _start_record(checkpoint_path, sink, fingerprint)
 
         return _stream_mark_run(
             source=source, sink=sink, schema=schema, result=result,
-            reliability=reliability, start=start, fingerprint=fingerprint,
+            reliability=reliability, start=start,
             watermark=watermark, key=key, spec=spec, domain=domain,
             wm_data=wm_data, engine=engine, mode=mode,
             chunk_size=chunk_size, constraints_factory=constraints_factory,
-            checkpoint_path=checkpoint_path, journal=journal,
-            run_lock=run_lock, retry=retry, deadline=deadline,
+            checkpoint_path=checkpoint_path, run_lock=run_lock,
+            retry=retry, deadline=deadline,
             memory_budget=memory_budget, breaker=breaker,
             worker_count=worker_count, watchdog=watchdog,
-            record_manifest=record_manifest,
         )
     finally:
         if run_lock is not None:
@@ -514,13 +446,12 @@ def stream_mark(
 
 def _stream_mark_run(
     *,
-    source, sink, schema, result, reliability, start, fingerprint,
+    source, sink, schema, result, reliability, start,
     watermark, key, spec, domain, wm_data, engine, mode, chunk_size,
-    constraints_factory, checkpoint_path, journal, run_lock, retry,
+    constraints_factory, checkpoint_path, run_lock, retry,
     deadline, memory_budget, breaker, worker_count, watchdog,
-    record_manifest,
 ) -> StreamMarkResult:
-    """The chunk loop of :func:`stream_mark`, after the sink/journal/
+    """The chunk loop of :func:`stream_mark`, after the sink/record/
     lease are positioned (split out so the lease's try/finally wraps
     everything without another indentation level)."""
     # The durable marker the retry layer rolls the sink back to before
@@ -529,10 +460,10 @@ def _stream_mark_run(
 
     def _commit_marked(index, marked, pass_result, guard_report, nrows):
         """Make one marked chunk durable: merge its reports, write it to
-        the sink (rolling back and rewriting under ``retry``) and record
-        the checkpoint.  Shared by the serial loop and the parallel
+        the sink (rolling back and rewriting under ``retry``) and append
+        its record.  Shared by the serial loop and the parallel
         ordered-commit loop — both call it in strict chunk order, which
-        is what keeps output bytes and checkpoints identical."""
+        is what keeps output bytes and records identical."""
         nonlocal last_good
         _merge_result(result, pass_result, guard_report, nrows)
 
@@ -557,34 +488,17 @@ def _stream_mark_run(
             )
             last_good = state
 
-        if journal is not None:
-            # Journal before checkpoint: a crash between the two leaves
-            # the journal one record ahead, which resume tolerates (the
-            # journalled chunk's bytes are durable — flush_state above).
-            append_journal_chunk(
-                journal,
-                index=index,
-                entry=sink.manifest.entries[-1],
-                delta=_journal_delta(pass_result, guard_report, nrows),
-                sink_state=state,
+        if checkpoint_path is not None:
+            # The chunk's bytes are durable (flush_state above); a crash
+            # before its record lands resumes from the previous record,
+            # which truncates them away again.
+            save_checkpoint(
+                checkpoint_path, index, sink.manifest.entries[-1],
+                _journal_delta(pass_result, guard_report, nrows), state,
+                retry=retry, reliability=reliability,
             )
         if run_lock is not None:
             run_lock.heartbeat()
-
-        if checkpoint_path is not None:
-            def _save():
-                save_checkpoint(
-                    checkpoint_path,
-                    _as_checkpoint(result, fingerprint, start, state),
-                )
-
-            if retry is None:
-                _save()
-            else:
-                call_with_retry(
-                    _save, "checkpoint.save", retry,
-                    on_retry=reliability.record_retry,
-                )
 
     try:
         if worker_count > 1:
@@ -606,7 +520,7 @@ def _stream_mark_run(
                 index = start + result.chunks  # global chunk index
                 # Cooperative stall-safety: the deadline is consulted at
                 # every chunk boundary, so a budgeted run stops (resumably
-                # — the checkpoint of chunk index-1 is durable) instead of
+                # — the record of chunk index-1 is durable) instead of
                 # hanging.
                 check_deadline(deadline, "pipeline.chunk", index)
                 chunk_domain = chunk.schema.attribute(
@@ -636,8 +550,8 @@ def _stream_mark_run(
     reliability.quarantined_rows += getattr(source, "quarantined_rows", 0)
     reliability.corrupt_chunks += getattr(source, "corrupt_chunks", 0)
     result.resumed_at_chunk = start
-    if record_manifest:
-        result.manifest = getattr(sink, "manifest", None)
+    if checkpoint_path is not None:
+        result.manifest = sink.manifest
     return result
 
 
@@ -655,12 +569,12 @@ def _lock_path(checkpoint_path, sink) -> str:
     return str(path) + ".lock"
 
 
-def _start_journal(journal, sink, fingerprint: str) -> None:
-    """Begin a fresh chunk-hash journal for a just-opened sink."""
-    if journal is None:
+def _start_record(checkpoint_path, sink, fingerprint: str) -> None:
+    """Begin a fresh run record for a just-opened sink."""
+    if checkpoint_path is None:
         return
     write_journal_header(
-        journal,
+        checkpoint_path,
         fingerprint=fingerprint,
         kind=sink.manifest.kind,
         header_entry=sink.manifest.header,
@@ -668,9 +582,43 @@ def _start_journal(journal, sink, fingerprint: str) -> None:
     )
 
 
+def save_checkpoint(
+    path,
+    index: int,
+    entry,
+    delta: dict,
+    sink_state: dict,
+    *,
+    retry: RetryPolicy | None,
+    reliability: ReliabilityReport,
+) -> None:
+    """Record one committed chunk: append its CRC-framed line (digest,
+    counter deltas, durable sink state) to the run record at ``path``.
+
+    This append is the whole checkpoint of the chunk.  Under ``retry`` a
+    transient failure first truncates the record back to its length
+    before the append, so a torn half-line never survives a retry.
+    """
+    def _append():
+        append_journal_chunk(
+            path, index=index, entry=entry, delta=delta,
+            sink_state=sink_state,
+        )
+
+    if retry is None:
+        _append()
+        return
+    size = os.path.getsize(path)
+    call_with_retry(
+        _append, "journal.append", retry,
+        recover=lambda: os.truncate(path, size),
+        on_retry=reliability.record_retry,
+    )
+
+
 def _journal_delta(pass_result, guard_report, nrows: int) -> dict:
     """One chunk's counter contributions — per-chunk *deltas*, so any
-    journal prefix reconstructs the cumulative result exactly."""
+    record prefix reconstructs the cumulative result exactly."""
     return {
         "rows": nrows,
         "fit_count": pass_result.fit_count,
@@ -686,10 +634,7 @@ def _journal_delta(pass_result, guard_report, nrows: int) -> dict:
 
 
 def _restore_result_from_journal(result: StreamMarkResult, records) -> None:
-    """Rebuild cumulative counters from journalled per-chunk deltas.
-
-    Under verified resume the journal prefix is authoritative — the
-    checkpoint may describe chunks the rewind just discarded."""
+    """Rebuild cumulative counters from recorded per-chunk deltas."""
     for record in records:
         delta = record.get("delta") or {}
         result.rows += int(delta.get("rows", 0))
@@ -706,55 +651,65 @@ def _restore_result_from_journal(result: StreamMarkResult, records) -> None:
         )
 
 
-def _verified_restore(
+def _restore(
     result: StreamMarkResult,
     sink,
     schema,
-    journal,
+    path,
     fingerprint: str,
     reliability: ReliabilityReport,
+    *,
+    verify: bool,
 ) -> int:
-    """Re-hash the surviving output prefix and position sink + journal +
-    result at the last *verified* chunk.  Returns the resume index.
+    """Position sink, record and result at the resume point; returns
+    the chunk index to resume from.
 
-    Bit-rot anywhere in the prefix rewinds to just before the damage (a
-    damaged header segment restarts from scratch); the rewound chunks are
-    rewritten by the resumed run, so the final output is byte-identical
-    to an uninterrupted one.
+    The resume point is the last CRC-valid chunk record; a torn or
+    rotted tail past it is cut off (one ``checkpoint_rollbacks``).  With
+    ``verify`` the surviving output prefix is re-hashed against the
+    record first and the resume point moves back to the last *verified*
+    chunk — bit-rot in the prefix is rewritten by the resumed run (a
+    damaged header segment restarts it from scratch), so the final
+    output stays byte-identical to an uninterrupted one.
     """
-    header, records = load_journal(journal)
-    if header is None or header.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"verified resume needs an intact chunk-hash journal at "
-            f"{journal} matching this run; re-run with "
-            f"verify_resume=False, or restart without resume"
+    if not os.path.exists(path):
+        raise CheckpointError(f"no checkpoint to resume from at {path}")
+    header, records = load_journal(path)
+    if header is None:
+        raise CheckpointCorruptError(
+            path, "line 1 is not a CRC-valid run-record header (torn or "
+            "rotted, or a JSON checkpoint written by an earlier version)",
         )
-    prefix = manifest_from_journal(header, records)
-    report = audit_stream(
-        sink.path, manifest=prefix,
-        table=getattr(sink, "table", "relation"),
+    if header.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            "checkpoint belongs to a different (key, spec, watermark) "
+            "run — refusing to resume into a half-marked relation"
+        )
+    if truncate_journal(path, len(records)):
+        reliability.checkpoint_rollbacks += 1
+    keep = len(records)
+    if verify:
+        report = audit_stream(
+            sink.path, manifest=manifest_from_journal(header, records),
+            table=getattr(sink, "table", "relation"),
+        )
+        reliability.chunks_verified += report.chunks
+        if not report.header_ok:
+            # even the preamble is damaged: restart the output
+            reliability.integrity_rewinds += len(records) + 1
+            sink.open(schema)
+            _start_record(path, sink, fingerprint)
+            return 0
+        keep = report.verified_chunks
+        reliability.integrity_rewinds += len(records) - keep
+        truncate_journal(path, keep)
+    _restore_result_from_journal(result, records[:keep])
+    sink.restore(
+        schema,
+        records[keep - 1]["sink_state"] if keep else header["open_state"],
     )
-    reliability.chunks_verified += report.chunks
-    sink.arm_manifest()
-    open_state = header.get("open_state")
-    verified = report.verified_chunks
-    if not report.header_ok or (verified == 0 and open_state is None):
-        # even the preamble is damaged (or there is nothing trustworthy
-        # to rewind to): restart the output from scratch
-        reliability.integrity_rewinds += len(records) + 1
-        sink.open(schema)
-        _start_journal(journal, sink, fingerprint)
-        return 0
-    if verified < len(records):
-        reliability.integrity_rewinds += len(records) - verified
-    _restore_result_from_journal(result, records[:verified])
-    if verified == 0:
-        sink.restore(schema, open_state)
-    else:
-        sink.restore(schema, records[verified - 1]["sink_state"])
-    sink.restore_manifest(manifest_from_journal(header, records[:verified]))
-    truncate_journal(journal, verified)
-    return verified
+    sink.restore_manifest(manifest_from_journal(header, records[:keep]))
+    return keep
 
 
 def _embed_one(
@@ -975,49 +930,6 @@ def _merge_result(
     merged.guard_report.vetoes_by_constraint.update(
         report.vetoes_by_constraint
     )
-
-
-def _as_checkpoint(
-    result: StreamMarkResult,
-    fingerprint: str,
-    start: int,
-    sink_state: dict[str, Any],
-) -> MarkCheckpoint:
-    return MarkCheckpoint(
-        fingerprint=fingerprint,
-        chunks_done=start + result.chunks,
-        rows_done=result.rows,
-        counters={
-            "fit_count": result.fit_count,
-            "applied": result.applied,
-            "vetoed": result.vetoed,
-            "unchanged": result.unchanged,
-            "report_applied": result.guard_report.applied,
-            "report_vetoed": result.guard_report.vetoed,
-            "report_noop": result.guard_report.noop,
-        },
-        slots_written=sorted(result.slots_written),
-        vetoes_by_constraint=dict(result.guard_report.vetoes_by_constraint),
-        sink_state=sink_state,
-    )
-
-
-def _restore_result(
-    result: StreamMarkResult, checkpoint: MarkCheckpoint
-) -> None:
-    counters = checkpoint.counters
-    result.rows = checkpoint.rows_done
-    result.fit_count = counters.get("fit_count", 0)
-    result.applied = counters.get("applied", 0)
-    result.vetoed = counters.get("vetoed", 0)
-    result.unchanged = counters.get("unchanged", 0)
-    result.guard_report.applied = counters.get("report_applied", 0)
-    result.guard_report.vetoed = counters.get("report_vetoed", 0)
-    result.guard_report.noop = counters.get("report_noop", 0)
-    result.guard_report.vetoes_by_constraint.update(
-        checkpoint.vetoes_by_constraint
-    )
-    result.slots_written = set(checkpoint.slots_written)
 
 
 # -- streaming detection -------------------------------------------------------

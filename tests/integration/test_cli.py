@@ -394,8 +394,11 @@ class TestStreamingFileMode:
                 workspace, **{"--checkpoint": str(checkpoint)}
             )
         ) == 0
-        payload = json.loads(checkpoint.read_text())
-        assert payload["rows_done"] == 5000
+        from repro.reliability.integrity import load_journal
+
+        header, records = load_journal(checkpoint)
+        assert header is not None
+        assert sum(record["delta"]["rows"] for record in records) == 5000
 
     def test_data_and_input_are_mutually_exclusive(self, workspace):
         import pytest

@@ -152,13 +152,14 @@ class TestBitRotMatrix:
         _mark(base, wm, key, spec, out, checkpoint_path=ckpt, resume=True)
         assert out.read_bytes() == rotted
 
-    def test_rotted_final_checkpoint_falls_back_to_prev(
+    def test_rotted_final_record_is_dropped_on_resume(
         self, base, key, wm, spec, reference, tmp_path, chaos_report
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        # rot the *last* checkpoint record (chunks_done == N) after it
-        # lands; resume must roll back to .prev and re-mark one chunk
-        plan = FaultPlan().add("checkpoint.save", BITFLIP, at=N_CHUNKS)
+        # rot the *last* chunk record (chunk N-1) after it lands; resume
+        # must drop it, restart from chunk N-2's record and re-mark one
+        # chunk
+        plan = FaultPlan().add("journal.append", BITFLIP, at=N_CHUNKS - 1)
         with plan.armed():
             _mark(base, wm, key, spec, out, checkpoint_path=ckpt)
         result = _mark(
@@ -195,7 +196,7 @@ class TestBitRotMatrix:
 class TestDiskFull:
     @pytest.mark.parametrize(
         "label,at",
-        [("sink.write", 2), ("sink.flush", 2), ("checkpoint.save", 2)],
+        [("sink.write", 2), ("sink.flush", 2), ("journal.append", 1)],
     )
     def test_enospc_stops_at_durable_boundary_resume_heals(
         self, base, key, wm, spec, reference, tmp_path, chaos_report,

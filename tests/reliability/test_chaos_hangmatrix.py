@@ -70,7 +70,7 @@ STALL_AT = {
     "source.read": 2,
     "sink.write": 2,
     "sink.flush": 2,       # fires inside the retry-wrapped write+flush
-    "checkpoint.save": 2,  # chunks_done is 1-based at save time
+    "journal.append": 1,   # the record of chunk 1 (0-based)
     "pipeline.embed": 1,   # inside the adaptive embed loop
     "pipeline.chunk": 1,   # after the chunk is durable (crash-equivalent)
 }

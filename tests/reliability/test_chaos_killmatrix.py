@@ -5,7 +5,7 @@ Each matrix cell launches a real subprocess that arms a
 checkpointed streamed embed; the process dies mid-run with
 ``SIGKILL`` — no ``atexit``, no ``finally``, exactly the crash the
 recovery layer claims to survive.  The parent then resumes from the
-on-disk checkpoint and asserts the recovered output is **byte-identical**
+on-disk run record and asserts the recovered output is **byte-identical**
 to an uninterrupted run (row-identical for SQLite, whose file layout is
 not canonical).
 
@@ -155,8 +155,8 @@ class TestStreamKillMatrix:
         fmt, boundary,
     ):
         out, ckpt = tmp_path / f"out.{fmt}", tmp_path / "run.ckpt"
-        # pipeline.chunk fires after the chunk is durable and its
-        # checkpoint is written — the canonical crash boundary.
+        # pipeline.chunk fires after the chunk is durable and its record
+        # is written — the canonical crash boundary.
         _crash_run("pipeline.chunk", boundary, out, ckpt)
         result = _resume_and_compare(
             base, key, wm, spec, reference, out, ckpt, fmt, chaos_report
@@ -176,13 +176,13 @@ class TestStreamKillMatrix:
         )
         assert result.resumed_at_chunk == 2
 
-    def test_kill_during_checkpoint_save_rolls_back_to_prev(
+    def test_kill_during_record_append_resumes_at_last_record(
         self, base, key, wm, spec, reference, tmp_path, chaos_report
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        # checkpoint.save indexes by chunks_done (1-based): dying while
-        # recording chunk 2 leaves chunk 1's record as the last verified.
-        _crash_run("checkpoint.save", 2, out, ckpt)
+        # journal.append indexes by chunk (0-based): dying while
+        # recording chunk 1 leaves chunk 0's record as the last verified.
+        _crash_run("journal.append", 1, out, ckpt)
         result = _resume_and_compare(
             base, key, wm, spec, reference, out, ckpt, fmt="csv",
             chaos_report=chaos_report,
@@ -196,7 +196,7 @@ class TestStreamKillMatrix:
         out, ckpt = tmp_path / f"out.{fmt}", tmp_path / "run.ckpt"
         # the narrowest window of all: the last chunk's bytes are written
         # but its flush (index == N_CHUNKS) never completes, so neither
-        # the final checkpoint nor sink.close() run.  Resume must rewind
+        # the final record nor sink.close() run.  Resume must rewind
         # to chunk N-1's durable marker and re-mark exactly one chunk.
         _crash_run("sink.flush", N_CHUNKS, out, ckpt)
         result = _resume_and_compare(
@@ -210,10 +210,10 @@ class TestStreamKillMatrix:
     ):
         out, ckpt = tmp_path / f"out.{fmt}", tmp_path / "run.ckpt"
         # one step later: the last chunk is flushed and durable, but the
-        # run dies recording the final checkpoint (chunks_done == N),
-        # before sink.close().  Resume lands on N-1's record, re-marks
-        # the last chunk, and the bytes still come out identical.
-        _crash_run("checkpoint.save", N_CHUNKS, out, ckpt)
+        # run dies appending its record (chunk N-1), before sink.close().
+        # Resume lands on chunk N-2's record, re-marks the last chunk,
+        # and the bytes still come out identical.
+        _crash_run("journal.append", N_CHUNKS - 1, out, ckpt)
         result = _resume_and_compare(
             base, key, wm, spec, reference, out, ckpt, fmt, chaos_report
         )

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.reliability import (
-    CORRUPT_JSON,
     FaultPlan,
     IO_ERROR,
     InjectedFaultError,
@@ -83,15 +82,15 @@ class TestArming:
         plan = (
             FaultPlan()
             .add("sink.write.mid", TORN_WRITE, at=0)
-            .add("checkpoint.save", CORRUPT_JSON, at=2)
+            .add("journal.append", TORN_WRITE, at=1)
         )
         with plan.armed():
             assert fault_point("sink.write.mid", 0) == TORN_WRITE
-            assert fault_point("checkpoint.save", 2) == CORRUPT_JSON
+            assert fault_point("journal.append", 1) == TORN_WRITE
             assert fault_point("sink.write.mid", 0) is None  # consumed
 
     def test_all_kinds_enumerated(self):
         assert set(KINDS) == {
-            "io-error", "torn-write", "truncated-gzip", "corrupt-json", "kill",
+            "io-error", "torn-write", "truncated-gzip", "kill",
             "hang", "slow", "memory", "bitflip", "disk-full",
         }

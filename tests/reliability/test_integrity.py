@@ -13,6 +13,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +135,7 @@ def _write_journal(path, chunks=3):
 
 class TestJournal:
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "run.ckpt.journal"
+        path = tmp_path / "run.ckpt"
         _write_journal(path, chunks=3)
         header, records = load_journal(path)
         assert header["fingerprint"] == "fp"
@@ -145,7 +146,7 @@ class TestJournal:
         assert len(manifest.entries) == 3
 
     def test_torn_tail_dropped_prefix_preserved(self, tmp_path):
-        path = tmp_path / "run.ckpt.journal"
+        path = tmp_path / "run.ckpt"
         _write_journal(path, chunks=3)
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
@@ -154,7 +155,7 @@ class TestJournal:
         assert [r["chunk"] for r in records] == [0, 1]
 
     def test_rotted_middle_line_ends_trusted_prefix(self, tmp_path):
-        path = tmp_path / "run.ckpt.journal"
+        path = tmp_path / "run.ckpt"
         _write_journal(path, chunks=3)
         lines = path.read_bytes().splitlines(keepends=True)
         rotted = lines[2].replace(b'"rows": 5', b'"rows": 6')
@@ -166,14 +167,14 @@ class TestJournal:
         assert [r["chunk"] for r in records] == [0]
 
     def test_rotted_header_means_no_journal(self, tmp_path):
-        path = tmp_path / "run.ckpt.journal"
+        path = tmp_path / "run.ckpt"
         _write_journal(path, chunks=2)
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b'"fp"', b'"xp"', 1))
         assert load_journal(path) == (None, [])
 
     def test_truncate_keeps_exact_prefix(self, tmp_path):
-        path = tmp_path / "run.ckpt.journal"
+        path = tmp_path / "run.ckpt"
         _write_journal(path, chunks=4)
         truncate_journal(path, 2)
         header, records = load_journal(path)
@@ -181,10 +182,10 @@ class TestJournal:
         assert [r["chunk"] for r in records] == [0, 1]
 
     def test_missing_file_loads_empty(self, tmp_path):
-        assert load_journal(tmp_path / "absent.journal") == (None, [])
+        assert load_journal(tmp_path / "absent.ckpt") == (None, [])
 
-    def test_journal_path_rides_along(self):
-        assert str(journal_path("run.ckpt")).endswith("run.ckpt.journal")
+    def test_journal_path_is_the_checkpoint_itself(self):
+        assert journal_path("run.ckpt") == Path("run.ckpt")
 
 
 # -- audit --------------------------------------------------------------------

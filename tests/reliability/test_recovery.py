@@ -7,6 +7,9 @@ result is corruption with extra steps.
 """
 
 import csv
+import json
+import os
+import zlib
 
 import pytest
 
@@ -15,20 +18,20 @@ from repro.core import EmbeddingSpec
 from repro.datagen import generate_item_scan
 from repro.relational import write_csv
 from repro.reliability import (
-    CORRUPT_JSON,
+    BITFLIP,
     FaultPlan,
     IO_ERROR,
     RetryError,
     RetryPolicy,
     TORN_WRITE,
+    audit_stream,
 )
+from repro.reliability.integrity import load_journal
 from repro.stream import (
     BadRowError,
     CSVChunkSource,
     CheckpointCorruptError,
     TableChunkSource,
-    load_checkpoint,
-    load_verified_checkpoint,
     open_sink,
     stream_mark,
     stream_verify,
@@ -167,25 +170,30 @@ class TestSourceRecovery:
 
 
 class TestCheckpointRecovery:
-    def test_corrupt_json_fault_is_caught_by_crc(
+    """The checkpoint is one run record: a header line, then one
+    CRC-framed line per committed chunk (``journal.append`` counts the
+    0-based chunk index, so chunk 3 is the last of four)."""
+
+    def test_rotted_record_line_is_caught_by_crc(
         self, base, key, wm, spec, tmp_path
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        plan = FaultPlan().add("checkpoint.save", CORRUPT_JSON, at=4)
+        plan = FaultPlan().add("journal.append", BITFLIP, at=3)
         _mark(base, wm, key, spec, out, plan=plan, checkpoint=ckpt)
-        with pytest.raises(CheckpointCorruptError, match="crc mismatch"):
-            load_checkpoint(ckpt)
+        header, records = load_journal(ckpt)
+        # the rotted final line is on disk, but its CRC rejects it
+        assert len(ckpt.read_bytes().splitlines()) == 5
+        assert header is not None and len(records) == 3
 
-    def test_resume_rolls_back_to_verified_prev(
+    def test_resume_drops_rotted_final_record(
         self, base, key, wm, spec, reference_bytes, tmp_path
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        # The *final* checkpoint lands bit-rotted; the .prev record (3
-        # chunks done) passes verification.
-        plan = FaultPlan().add("checkpoint.save", CORRUPT_JSON, at=4)
+        # The *final* record lands bit-rotted; the record of chunk 2 (3
+        # chunks done) is the last that passes verification.
+        plan = FaultPlan().add("journal.append", BITFLIP, at=3)
         _mark(base, wm, key, spec, out, plan=plan, checkpoint=ckpt)
-        loaded, rolled_back = load_verified_checkpoint(ckpt)
-        assert rolled_back and loaded.chunks_done == 3
+        assert len(load_journal(ckpt)[1]) == 3
         result = _mark(
             base, wm, key, spec, out, checkpoint=ckpt, resume=True
         )
@@ -197,32 +205,81 @@ class TestCheckpointRecovery:
         self, base, key, wm, spec, reference_bytes, tmp_path
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        plan = FaultPlan().add("checkpoint.save", TORN_WRITE, at=4)
-        _mark(base, wm, key, spec, out, plan=plan, checkpoint=ckpt)
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(ckpt)
+        plan = FaultPlan().add("journal.append", TORN_WRITE, at=3)
+        # without a retry policy the torn append fails the run
+        with pytest.raises(OSError):
+            _mark(base, wm, key, spec, out, plan=plan, checkpoint=ckpt)
+        assert len(load_journal(ckpt)[1]) == 3
         result = _mark(base, wm, key, spec, out, checkpoint=ckpt, resume=True)
+        assert result.resumed_at_chunk == 3 and result.chunks == 1
         assert result.reliability.checkpoint_rollbacks == 1
         assert out.read_bytes() == reference_bytes["csv"]
 
-    def test_corruption_with_no_fallback_raises(self, tmp_path):
+    def test_torn_record_write_retried_byte_identical(
+        self, base, key, wm, spec, reference_bytes, tmp_path
+    ):
+        clean = tmp_path / "clean.ckpt"
+        _mark(base, wm, key, spec, tmp_path / "clean.csv", checkpoint=clean)
+        out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
+        plan = FaultPlan().add("journal.append", TORN_WRITE, at=2)
+        result = _mark(
+            base, wm, key, spec, out, plan=plan, retry=FAST, checkpoint=ckpt
+        )
+        assert plan.pending() == 0
+        assert result.reliability.retries["journal.append"] == 1
+        assert out.read_bytes() == reference_bytes["csv"]
+        # the retry truncated the torn half-line before appending again
+        assert ckpt.read_bytes() == clean.read_bytes()
+        assert audit_stream(out, journal=ckpt).ok
+
+    def test_corruption_with_no_fallback_raises(
+        self, base, key, wm, spec, tmp_path
+    ):
         ckpt = tmp_path / "run.ckpt"
         ckpt.write_text("{not json", encoding="utf-8")
         with pytest.raises(CheckpointCorruptError) as excinfo:
-            load_verified_checkpoint(ckpt)
+            _mark(
+                base, wm, key, spec, tmp_path / "out.csv",
+                checkpoint=ckpt, resume=True,
+            )
         assert excinfo.value.path == str(ckpt)
 
     def test_save_retry_under_io_error(
         self, base, key, wm, spec, reference_bytes, tmp_path
     ):
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        plan = FaultPlan().add("checkpoint.save", IO_ERROR, at=2)
+        plan = FaultPlan().add("journal.append", IO_ERROR, at=1)
         result = _mark(
             base, wm, key, spec, out, plan=plan, retry=FAST, checkpoint=ckpt
         )
-        assert result.reliability.retries["checkpoint.save"] == 1
+        assert result.reliability.retries["journal.append"] == 1
         assert out.read_bytes() == reference_bytes["csv"]
-        assert load_checkpoint(ckpt).chunks_done == 4
+        assert len(load_journal(ckpt)[1]) == 4
+
+    @pytest.mark.parametrize("suffix", ["csv", "csv.gz"])
+    def test_checkpointed_mark_fsyncs_twice_per_chunk(
+        self, base, key, wm, spec, tmp_path, monkeypatch, suffix
+    ):
+        out, ckpt = tmp_path / f"out.{suffix}", tmp_path / "run.ckpt"
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        result = _mark(base, wm, key, spec, out, checkpoint=ckpt)
+        monkeypatch.undo()
+        chunks = ROWS // CHUNK
+        assert result.chunks == chunks
+        # per chunk: the sink flush and the record append; plus the
+        # record header and the sink's close
+        assert len(calls) == 2 * chunks + 2
+        # one record file: no .prev, .tmp or .journal beside it
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [out.name, ckpt.name]
+        )
 
 
 class TestBadRowPolicies:
@@ -327,10 +384,47 @@ class TestCliExitCodes:
         )
         assert cli.main(args) == 0
         ckpt.write_text('{"zapped": true}', encoding="utf-8")
-        prev = ckpt.with_name(ckpt.name + ".prev")
-        prev.unlink()
         assert cli.main(args + ["--resume"]) == cli.EXIT_CHECKPOINT_CORRUPT
         assert "corrupt checkpoint" in capsys.readouterr().err
+
+    def test_earlier_json_checkpoint_is_refused_exit_4(
+        self, base, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "run.ckpt"
+        args = self._embed_args(
+            tmp_path, base, ("--checkpoint", str(ckpt)),
+        )
+        # a CRC-valid JSON checkpoint in the shape earlier versions wrote
+        body = {
+            "schema_version": 2,
+            "fingerprint": "0" * 32,
+            "chunks_done": 2,
+            "rows_done": 2 * CHUNK,
+            "counters": {},
+            "slots_written": [],
+            "vetoes_by_constraint": {},
+            "sink_state": {"offset": 0, "chunks": 2},
+        }
+        body["crc"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+        ckpt.write_text(json.dumps(body, sort_keys=True) + "\n")
+        assert cli.main(args + ["--resume"]) == cli.EXIT_CHECKPOINT_CORRUPT
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert "restart the embed without --resume" in err
+
+    def test_rotted_header_line_exits_4(self, base, tmp_path, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        args = self._embed_args(
+            tmp_path, base, ("--checkpoint", str(ckpt)),
+        )
+        assert cli.main(args) == 0
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b'"fingerprint": "') + 16] ^= 0x01
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert cli.main(args + ["--resume"]) == cli.EXIT_CHECKPOINT_CORRUPT
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "without --resume" in err
 
     def test_retry_exhaustion_exits_5(self, base, tmp_path, capsys):
         args = self._embed_args(tmp_path, base, ("--retries", "1"))

@@ -10,6 +10,7 @@ from repro.crypto import SCALAR, VECTOR
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import write_csv
+from repro.reliability.integrity import load_journal
 from repro.stream import (
     CheckpointError,
     CSVChunkSink,
@@ -19,7 +20,6 @@ from repro.stream import (
     StreamError,
     TableChunkSink,
     TableChunkSource,
-    load_checkpoint,
     stream_detect,
     stream_engine,
     stream_mark,
@@ -178,7 +178,7 @@ class TestCheckpointResume:
                 StoppingSource(source, 3), wm, key, spec,
                 CSVChunkSink(part), checkpoint_path=checkpoint,
             )
-        assert load_checkpoint(checkpoint).chunks_done == 3
+        assert len(load_journal(checkpoint)[1]) == 3
         # simulate a torn write after the last durable flush
         with open(part, "ab") as handle:
             handle.write(b"torn-partial-chunk")
