@@ -23,11 +23,14 @@ is *free* until something actually fails:
   record append) must also hold 0.6x of the fail-fast path, with its
   fsyncs per chunk recorded beside the throughput.
 
-All series land in ``benchmarks/results/reliability_overhead.json``.
+The four streamed marks run interleaved, ``ROUNDS`` times over, and each
+gate compares medians, so a drift in host speed lands on every
+configuration alike.  All series land in ``benchmarks/results/reliability_overhead.json``.
 ``REPRO_BENCH_RELIABILITY_ROWS`` selects the tier (default 100,000).
 """
 
 import os
+import statistics
 import time
 import timeit
 from unittest import mock
@@ -45,6 +48,8 @@ from repro.stream import CSVChunkSink, TableChunkSource, stream_mark
 
 ROWS = int(os.environ.get("REPRO_BENCH_RELIABILITY_ROWS", "100000"))
 CHUNK = max(1_024, ROWS // 16)
+#: interleaved rounds of the four streamed marks; gates read medians
+ROUNDS = 3
 E = 60
 WATERMARK = Watermark.from_int(0x2AB, 10)
 
@@ -102,44 +107,56 @@ def test_disarmed_and_fault_free_overhead(record, record_json, tmp_path):
         / calls
     )
 
-    # -- retry-armed vs fail-fast streamed mark, no faults -----------------
+    # -- four streamed marks, interleaved ---------------------------------
+    # fail-fast, retry-armed (no faults), deadline-armed (never
+    # expiring) and checkpointed (per chunk: sink flush + sha256 of the
+    # flushed bytes + one fsynced record append) run in turn, ROUNDS
+    # times over, and the gates compare medians: one timing per
+    # configuration in a fixed order compared drift as much as cost.
     base = generate_item_scan(ROWS, item_count=500, seed=17)
     key = MarkKey.from_seed("reliability-bench")
     spec = _spec()
-    fail_fast = _mark_seconds(base, key, spec, tmp_path / "a.csv", None)
-    armed = _mark_seconds(
-        base, key, spec, tmp_path / "b.csv", RetryPolicy()
+    seconds = {name: [] for name in ("fail", "retry", "deadline", "ckpt")}
+    fsyncs = 0
+    for round_ in range(ROUNDS):
+        out = {name: tmp_path / f"{name}{round_}.csv" for name in seconds}
+        seconds["fail"].append(
+            _mark_seconds(base, key, spec, out["fail"], None)
+        )
+        seconds["retry"].append(
+            _mark_seconds(base, key, spec, out["retry"], RetryPolicy())
+        )
+        seconds["deadline"].append(_mark_seconds(
+            base, key, spec, out["deadline"], None,
+            deadline=Deadline(3600.0),
+        ))
+        # fsyncs are counted through the real os.fsync
+        with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync:
+            seconds["ckpt"].append(_mark_seconds(
+                base, key, spec, out["ckpt"], None,
+                checkpoint_path=tmp_path / f"ckpt{round_}.ckpt",
+            ))
+        fsyncs += fsync.call_count
+        reference = out["fail"].read_bytes()
+        for name in ("retry", "deadline", "ckpt"):
+            assert out[name].read_bytes() == reference
+    fail_fast, armed, budgeted, checkpointed = (
+        statistics.median(seconds[name])
+        for name in ("fail", "retry", "deadline", "ckpt")
     )
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    chunks = -(-ROWS // CHUNK)
+    fsyncs_per_chunk = fsyncs / (chunks * ROUNDS)
+
     ratio = fail_fast / armed
     assert ratio >= 0.6, (
         f"retry bookkeeping costs {1 / ratio:.2f}x on a clean run — "
         "the reliability layer is no longer near-free when idle"
     )
-
-    # -- deadline-armed streamed mark, never expiring ----------------------
-    budgeted = _mark_seconds(
-        base, key, spec, tmp_path / "c.csv", None,
-        deadline=Deadline(3600.0),
-    )
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     deadline_ratio = fail_fast / budgeted
     assert deadline_ratio >= 0.6, (
         f"deadline checks cost {1 / deadline_ratio:.2f}x on a clean run — "
         "stall-safety is no longer near-free when the budget is generous"
     )
-
-    # -- checkpointed streamed mark: the one run record --------------------
-    # per chunk: sink flush + sha256 of the flushed bytes + one fsynced
-    # record append; fsyncs are counted through the real os.fsync
-    with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync:
-        checkpointed = _mark_seconds(
-            base, key, spec, tmp_path / "d.csv", None,
-            checkpoint_path=tmp_path / "d.ckpt",
-        )
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
-    chunks = -(-ROWS // CHUNK)
-    fsyncs_per_chunk = fsync.call_count / chunks
     checkpoint_ratio = fail_fast / checkpointed
     assert checkpoint_ratio >= 0.6, (
         f"the run record costs {1 / checkpoint_ratio:.2f}x on a clean "
@@ -147,7 +164,8 @@ def test_disarmed_and_fault_free_overhead(record, record_json, tmp_path):
     )
 
     lines = [
-        f"reliability overhead tier: {ROWS} rows, chunk {CHUNK}",
+        f"reliability overhead tier: {ROWS} rows, chunk {CHUNK}, "
+        f"medians of {ROUNDS} interleaved rounds",
         f"  disarmed fault_point   : {per_call * 1e9:>8.1f} ns/call",
         f"  disarmed check_deadline: {deadline_disarmed * 1e9:>8.1f} ns/call",
         f"  armed check_deadline   : {deadline_armed * 1e9:>8.1f} ns/call",
@@ -166,6 +184,7 @@ def test_disarmed_and_fault_free_overhead(record, record_json, tmp_path):
         {
             "rows": ROWS,
             "chunk": CHUNK,
+            "rounds": ROUNDS,
             "fault_point_ns": round(per_call * 1e9, 1),
             "deadline_check_disarmed_ns": round(deadline_disarmed * 1e9, 1),
             "deadline_check_armed_ns": round(deadline_armed * 1e9, 1),

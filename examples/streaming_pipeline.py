@@ -48,7 +48,13 @@ E = 60
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-stream-"))
+    # Every file the demo writes lives in one temporary directory that is
+    # removed on the way out, whether the demo finishes or fails.
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     marked_path = workdir / "marked.csv.gz"
     checkpoint = workdir / "mark.ckpt"
 

@@ -11,8 +11,9 @@ import csv
 import io
 from pathlib import Path
 
+from .decode import RecordFeed, arity_reason, build_chunk_table
 from .domain import CategoricalDomain
-from .schema import Attribute, Schema, infer_domains
+from .schema import Attribute, Schema
 from .table import Table
 from .types import AttributeType
 
@@ -52,7 +53,7 @@ def read_csv(
     """
     with open(path, newline="", encoding="utf-8") as handle:
         return _read(handle, schema, infer_categorical_domains,
-                     name or Path(path).stem)
+                     name or Path(path).stem, str(path))
 
 
 def loads_csv(
@@ -62,7 +63,9 @@ def loads_csv(
     name: str = "relation",
 ) -> Table:
     """Parse CSV ``text`` into a :class:`Table` (see :func:`read_csv`)."""
-    return _read(io.StringIO(text), schema, infer_categorical_domains, name)
+    return _read(
+        io.StringIO(text), schema, infer_categorical_domains, name, name
+    )
 
 
 def check_header(header, schema: Schema) -> None:
@@ -76,40 +79,37 @@ def check_header(header, schema: Schema) -> None:
 def parse_row(row: list[str], parsers, arity: int, number: int) -> tuple:
     """Type one CSV record, rejecting arity mismatches loudly.
 
-    ``zip`` would silently drop surplus cells (and silently shorten the
-    tuple on missing ones, surfacing later as a confusing schema error),
-    so a malformed record — a stray delimiter, a half-written line — is
-    reported with its data-row ``number`` instead.
+    The row-at-a-time statement of what :func:`build_chunk_table` does
+    column by column (the equivalence tests hold the two together).
+    ``zip`` would silently drop surplus cells, so a malformed record — a
+    stray delimiter, a half-written line — is reported with its data-row
+    ``number`` instead.
     """
     if len(row) != arity:
-        raise ValueError(
-            f"CSV row {number} has {len(row)} fields, schema has {arity}"
-        )
+        raise ValueError(arity_reason(number, len(row), arity))
     return tuple(parse(cell) for parse, cell in zip(parsers, row))
 
 
-def _read(handle, schema: Schema, infer: bool, name: str) -> Table:
+def _read(
+    handle, schema: Schema, infer: bool, name: str, origin: str
+) -> Table:
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:
         return Table(schema, (), name=name)
     check_header(header, schema)
-    parsers = cell_parsers(schema)
-    arity = schema.arity
-    typed_rows = [
-        parse_row(row, parsers, arity, number)
-        for number, row in enumerate(reader, start=1)
-    ]
-    effective = infer_domains(schema, typed_rows) if infer else schema
-    return Table(effective, typed_rows, name=name)
+    return build_chunk_table(
+        schema, RecordFeed(reader, origin), parsers=cell_parsers(schema),
+        infer=infer, label=name,
+    )
 
 
 def cell_parsers(schema: Schema) -> list:
     """Per-attribute cell parsers, in schema order.
 
-    The shared typing layer of :func:`read_csv` and the chunked
-    :class:`repro.stream.CSVChunkSource` — one parser list built per file,
-    not per row.
+    The shared typing layer of :func:`build_chunk_table` — one parser
+    list built per file, not per row, each parser applied once per
+    distinct cell text (per row for the primary key).
     """
     return [_cell_parser(schema.attribute(column)) for column in schema.names]
 
@@ -125,7 +125,9 @@ def _cell_parser(attribute: Attribute):
     index) must survive publication.
     """
     if attribute.atype is not AttributeType.CATEGORICAL:
-        return attribute.atype.parse
+        # The builtins behind ``AttributeType.parse``, called directly:
+        # ``str`` returns its str argument itself.
+        return _SCALAR_PARSERS[attribute.atype]
     # First-wins on text collisions: a domain holding both 1 and "1"
     # renders identically, so the coercion is genuinely ambiguous — pin it
     # to the first value in canonical domain order (the same
@@ -141,6 +143,13 @@ def _cell_parser(attribute: Attribute):
         return _sniff(cell)
 
     return parse
+
+
+_SCALAR_PARSERS = {
+    AttributeType.INTEGER: int,
+    AttributeType.REAL: float,
+    AttributeType.STRING: str,
+}
 
 
 def _sniff(cell: str):

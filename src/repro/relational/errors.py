@@ -11,6 +11,29 @@ from __future__ import annotations
 class RelationalError(Exception):
     """Base class for all relational-substrate errors."""
 
+    def at(self, origin: str, number: int) -> "RelationalError":
+        """Name where the violation was read: ``origin`` (a file) and its
+        1-based data-row ``number``, kept as attributes and prefixed to
+        the message."""
+        self.origin = str(origin)
+        self.row_number = number
+        self.args = (f"{self.origin}: row {number}: {self.args[0]}",)
+        return self
+
+    def __reduce__(self):
+        # The default ``cls(*args)`` would re-run the subclasses'
+        # message-building constructors on the finished message; parallel
+        # workers raise these across the process boundary, so restore the
+        # message and attributes as they are.
+        return (_restore, (type(self), self.args, self.__dict__))
+
+
+def _restore(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class SchemaError(RelationalError):
     """A schema is malformed (duplicate names, missing primary key, ...)."""

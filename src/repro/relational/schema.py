@@ -7,7 +7,7 @@ value set), integer, real or string.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -228,15 +228,28 @@ def infer_domains(schema: Schema, rows: Iterable[tuple]) -> Schema:
     categorical column become its domain.
     """
     rows = list(rows)
+    return widen_domains(schema, {
+        attribute.name: [row[position] for row in rows]
+        for position, attribute in enumerate(schema)
+        if attribute.is_categorical
+    })
+
+
+def widen_domains(
+    schema: Schema, observed: Mapping[str, Iterable[Any]]
+) -> Schema:
+    """Return ``schema`` with each categorical domain widened by the
+    values ``observed[name]`` (every categorical attribute must have an
+    entry).  Of equal-comparing values the first observed one is kept,
+    ahead of the declared domain's own."""
     out = schema
     for attribute in schema:
         if not attribute.is_categorical:
             continue
-        position = schema.position(attribute.name)
-        observed = {row[position] for row in rows}
+        values = set(observed[attribute.name])
         if attribute.domain is not None:
-            observed |= set(attribute.domain.values)
+            values |= set(attribute.domain.values)
         out = out.replace_attribute(
-            attribute.with_domain(CategoricalDomain(observed))
+            attribute.with_domain(CategoricalDomain(values))
         )
     return out

@@ -391,17 +391,17 @@ class Table:
     ) -> "Table":
         """Adopt ``rows`` wholesale, skipping per-cell validation.
 
-        The chunk-pipeline constructor: a streaming source re-windows rows
-        that are schema-valid *by construction* — tuples of an existing
-        validated :class:`Table`, CSV cells typed by parsers whose domains
-        were just inference-widened over those very rows — and per-cell
-        re-validation would dominate the chunk's whole processing cost.
+        For rows that are schema-valid *by construction* — tuples of an
+        existing validated :class:`Table` (marked or re-windowed chunks),
+        or a ``datagen`` generator drawing from the schema's own domains —
+        where per-cell re-validation would dominate the chunk's whole
+        processing cost.  Rows read from outside go through
+        :func:`repro.relational.decode.build_chunk_table` instead.
         Primary-key uniqueness is still enforced (the index is built
         anyway); everything else is the caller's contract.
         """
-        table = cls(schema, (), name=name)
         materialised = [list(row) for row in rows]
-        pk_position = table._pk_position
+        pk_position = schema.position(schema.primary_key)
         index = {
             row[pk_position]: slot
             for slot, row in enumerate(materialised)
@@ -413,10 +413,28 @@ class Table:
                 if key in seen:
                     raise DuplicateKeyError(key)
                 seen.add(key)
-        table._rows = materialised
+        return cls._adopt(schema, materialised, index, name)
+
+    @classmethod
+    def _adopt(
+        cls,
+        schema: Schema,
+        rows: list[list[Any]],
+        index: dict[Hashable, int],
+        name: str,
+        columns: dict[str, tuple[list[Any], ColumnCodes]] | None = None,
+    ) -> "Table":
+        """Take ownership of checked ``rows`` and their primary-key
+        ``index``, with optional per-attribute ``(column view, codes)``
+        caches already computed by the caller (the columnar decode)."""
+        table = cls(schema, (), name=name)
+        table._rows = rows
         table._pk_index = index
         table._version = 1
         table._structural_version = 1
+        for attribute, (view, codes) in (columns or {}).items():
+            table._column_cache[attribute] = (1, view)
+            table._codes_cache[attribute] = (1, codes)
         return table
 
     # -- writes -------------------------------------------------------------------

@@ -36,8 +36,8 @@ class CheckpointCorruptError(CheckpointError):
 class BadRowError(StreamError, ValueError):
     """A CSV record could not be parsed under the declared schema.
 
-    Subclasses ``ValueError`` for compatibility with the historical
-    ``parse_row`` arity error; carries the 1-based data-row number so
+    Subclasses ``ValueError``, the error a malformed record raises
+    outside the stream (``read_csv``); carries the 1-based data-row number so
     ``on_bad_rows='quarantine'`` sidecars and error messages can point
     at the exact line.
     """

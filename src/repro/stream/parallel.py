@@ -59,7 +59,8 @@ from ..core.watermark import Watermark
 from ..crypto import SCALAR, VECTOR, MarkKey
 from ..quality import QualityGuard
 from ..relational import CategoricalDomain, Table
-from ..relational.csvio import cell_parsers, parse_row
+from ..relational.csvio import cell_parsers
+from ..relational.decode import RecordFeed, build_chunk_table
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.faults import fault_point
@@ -82,9 +83,9 @@ from .pipeline import (
 )
 from .sources import (
     PAYLOAD_RAW,
+    PAYLOAD_ROWS,
     PAYLOAD_TABLE,
     ChunkTask,
-    build_chunk_table,
     payload_chunks,
     payload_profile,
 )
@@ -162,28 +163,25 @@ def _build_chunk(
     name: str,
     path: str | None,
     infer: bool,
-    trusted: bool,
     parsers,
 ) -> Table:
     """Materialize one payload into the exact chunk table the serial
     source would have yielded."""
     if task.kind == PAYLOAD_TABLE:
         return task.payload
-    if task.kind == PAYLOAD_RAW:
-        arity = schema.arity
-        origin = task.origin or path or name
-        number = task.first_row_number
-        rows = []
-        for record in task.payload:
-            number += 1
-            try:
-                rows.append(parse_row(record, parsers, arity, number))
-            except ValueError as exc:
-                raise BadRowError(origin, number, str(exc)) from exc
-    else:
-        rows = task.payload
+    label = f"{name}[{task.index}]"
+    if task.kind == PAYLOAD_ROWS:
+        return Table.from_trusted_rows(schema, task.payload, name=label)
+    origin = task.origin or path or name
+
+    def fail(number: int, record, reason: str) -> None:
+        raise BadRowError(origin, number, reason)
+
     return build_chunk_table(
-        schema, rows, task.index, name, infer=infer, trusted=trusted
+        schema,
+        RecordFeed(iter(task.payload), origin, task.first_row_number, fail),
+        parsers=parsers if task.kind == PAYLOAD_RAW else None,
+        infer=infer, label=label,
     )
 
 
@@ -238,7 +236,7 @@ def _worker_stats() -> dict[str, Any]:
 def _worker_chunk(task: ChunkTask) -> Table:
     return _build_chunk(
         task, _W["schema"], _W["name"], _W["path"], _W["infer"],
-        _W["trusted"], _W_PARSERS,
+        _W_PARSERS,
     )
 
 
@@ -621,7 +619,6 @@ def _run_blob(
     state = {
         "schema": profile["schema"],
         "infer": profile["infer"],
-        "trusted": profile["trusted"],
         "name": profile["name"],
         "path": profile["path"],
         "keys": list(keys),
@@ -755,7 +752,7 @@ def _serial_votes_fn(
     def compute(task: ChunkTask):
         chunk = _build_chunk(
             task, schema, profile["name"], profile["path"],
-            profile["infer"], profile["trusted"], parsers,
+            profile["infer"], parsers,
         )
         if len(keys) == 1:
             tallies, state["mode"] = _chunk_votes_adaptive(
@@ -837,7 +834,7 @@ def parallel_mark(
     def serial_fn(task: ChunkTask):
         chunk = _build_chunk(
             task, schema, profile["name"], profile["path"],
-            profile["infer"], profile["trusted"], parsers,
+            profile["infer"], parsers,
         )
         chunk_domain = chunk.schema.attribute(spec.mark_attribute).domain
         if chunk_domain != domain:

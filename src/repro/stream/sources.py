@@ -12,6 +12,22 @@ Chunks are yielded in file order, which the streaming detector relies on:
 its accumulator preserves the global first-vote tie rule by merging chunk
 tallies in physical row order.
 
+Decoding
+--------
+
+Every chunk read from outside — CSV or gzip records here, SQLite rows,
+the raw payloads a parallel worker receives — is built by one rule,
+:func:`~repro.relational.decode.build_chunk_table`: records are walked
+once with arity checked per record, the key column is typed per row,
+every other column types each distinct cell text once, each distinct
+value is validated once, and the chunk is born with every column's
+factorization cached (the kernels never call ``relational.factorize``
+on it).  Malformed records follow ``on_bad_rows``; a schema violation or
+a duplicate key raises its own error class with the file and the
+1-based data-row number in the message.  Only rows that are schema-valid
+by construction — the synthetic generators', an in-memory table's — are
+adopted without that rule (``Table.from_trusted_rows``).
+
 Domain handling
 ---------------
 
@@ -42,8 +58,9 @@ from ..datagen import (
     item_scan_schema,
     iter_item_scan_rows,
 )
-from ..relational import Schema, Table, infer_domains
-from ..relational.csvio import cell_parsers, check_header, parse_row
+from ..relational import Schema, Table
+from ..relational.csvio import cell_parsers, check_header
+from ..relational.decode import RecordFeed, build_chunk_table
 from ..reliability.faults import fault_point
 from ..reliability.integrity import (
     IntegrityError,
@@ -77,38 +94,11 @@ def open_text(path: str | Path):
     return open(path, newline="", encoding="utf-8")
 
 
-def build_chunk_table(
-    schema: Schema,
-    rows: list[tuple],
-    index: int,
-    name: str,
-    infer: bool,
-    trusted: bool,
-) -> Table:
-    """Assemble one chunk :class:`Table` from typed rows.
-
-    The single chunk-materialization rule, shared by the serial sources
-    and the parallel workers (which receive rows as picklable payloads
-    and must type them into the *identical* table the serial path would
-    build — same inference, same trust shortcut, same name).
-    """
-    label = f"{name}[{index}]"
-    if infer:
-        # Inference widens every categorical domain over exactly these
-        # rows, and the cell parsers typed the scalar columns — the
-        # rows are valid under the widened schema by construction.
-        return Table.from_trusted_rows(
-            infer_domains(schema, rows), rows, name=label
-        )
-    if trusted:
-        return Table.from_trusted_rows(schema, rows, name=label)
-    return Table(schema, rows, name=label)
-
-
 #: :class:`ChunkTask` payload kinds — what a parallel worker receives
 #: and how it must materialize the chunk from it
-PAYLOAD_RAW = "raw"        # untyped CSV field lists (worker runs parse_row)
-PAYLOAD_TYPED = "typed"    # typed row tuples (worker builds the Table)
+PAYLOAD_RAW = "raw"        # CSV field lists (typed by the decode rule)
+PAYLOAD_TYPED = "typed"    # typed cells, not yet validated (SQLite)
+PAYLOAD_ROWS = "rows"      # schema-valid rows (generator, Table; adopted)
 PAYLOAD_TABLE = "table"    # a finished Table (pickled whole)
 
 
@@ -127,7 +117,7 @@ class ChunkTask:
     payload: Any
     count: int
     #: 1-based data-row number preceding the first payload record (RAW
-    #: payloads only) — keeps worker-side BadRowError messages identical
+    #: and TYPED payloads) — keeps worker-side error messages identical
     #: to the serial reader's
     first_row_number: int = 0
     #: originating file (RAW payloads of multi-file sources) for error
@@ -153,11 +143,6 @@ class ChunkSource:
     def __iter__(self) -> Iterator[Table]:
         return self.chunks()
 
-    # -- shared chunk assembly -------------------------------------------------
-    #: rows are schema-valid by construction (tuples of a validated
-    #: table, generator output) — skip per-cell re-validation
-    trusted_rows = False
-
     #: optional verified-read mode: a
     #: :class:`~repro.reliability.integrity.ChunkManifest` recorded at
     #: mark time; every chunk's row-content digest is recomputed and
@@ -170,11 +155,6 @@ class ChunkSource:
     on_corrupt_chunks = "raise"
     #: chunks dropped by verified-read during the most recent iteration
     corrupt_chunks = 0
-
-    def _table(self, rows: list[tuple], index: int, infer: bool) -> Table:
-        return build_chunk_table(
-            self.schema, rows, index, self.name, infer, self.trusted_rows
-        )
 
     def _admit(self, table: Table, index: int) -> bool:
         """Verified-read gate: does chunk ``index`` match the manifest?"""
@@ -203,23 +183,6 @@ class ChunkSource:
         if digest_rows(table) == expected:
             return True, ""
         return False, "row-content digest mismatch"
-
-    def _batched(
-        self, rows: Iterator[tuple], start: int, infer: bool
-    ) -> Iterator[Table]:
-        index = start
-        while True:
-            # Injection point: a chunk read failing (disk error, NFS
-            # hiccup) — the pipeline's retry layer re-opens the source at
-            # the last completed chunk boundary.
-            fault_point("source.read", index)
-            batch = list(islice(rows, self.chunk_size))
-            if not batch:
-                return
-            table = self._table(batch, index, infer)
-            if self._admit(table, index):
-                yield table
-            index += 1
 
 
 def resolve_chunks(source, start: int = 0) -> Iterator[Table]:
@@ -251,7 +214,6 @@ def payload_profile(source) -> dict[str, Any]:
     return {
         "schema": source_schema(source),
         "infer": getattr(source, "infer", False),
-        "trusted": getattr(source, "trusted_rows", False),
         "name": getattr(source, "name", "stream"),
         "path": str(path) if path is not None else None,
     }
@@ -291,13 +253,14 @@ CORRUPT_POLICIES = (CORRUPT_RAISE, CORRUPT_SKIP)
 class CSVChunkSource(ChunkSource):
     """Chunked reader over a CSV file (gzip detected automatically).
 
-    The file is parsed with the same typed cell parsers as
+    The file is decoded by the same rule and cell parsers as
     :func:`repro.relational.read_csv`, so a relation round-trips through
     ``write_csv`` / streamed reading value-identically.  Quoted fields may
     contain delimiters and newlines.
 
     ``on_bad_rows`` decides what happens to a record the schema cannot
-    type (wrong field count — a stray delimiter, a half-written line):
+    type (wrong field count — a stray delimiter, a half-written line — or
+    a cell its parser rejects):
 
     * ``"raise"`` (default, the historical behavior) — abort with
       :class:`~repro.stream.errors.BadRowError` naming the data-row
@@ -377,44 +340,52 @@ class CSVChunkSource(ChunkSource):
                     return
                 check_header(header, self.schema)
                 parsers = cell_parsers(self.schema)
-                arity = self.schema.arity
+                feed = RecordFeed(
+                    reader, str(self.path), on_bad_row=self._bad_row
+                )
                 if self.on_bad_rows == BAD_ROWS_RAISE:
                     # Raw fast-forward on resume is sound under the raise
                     # policy only: every skipped raw record was a typed
                     # row of the interrupted run (a bad one would have
                     # aborted it before the checkpoint landed).
-                    number = 0
-                    for _ in range(start * self.chunk_size):
-                        if next(reader, None) is None:
-                            return
-                        number += 1
-                    typed = self._typed_rows(reader, parsers, arity, number)
+                    feed.number = sum(
+                        1 for _ in islice(reader, start * self.chunk_size)
+                    )
                 else:
-                    typed = self._typed_rows(reader, parsers, arity, 0)
-                    if start:
-                        # Chunk boundaries count *surviving* rows, so the
-                        # fast-forward must apply the same bad-row policy
-                        # (re-quarantining deterministically rewrites the
-                        # sidecar with identical content).
-                        for _ in islice(typed, start * self.chunk_size):
-                            pass
-                        self.fastforward_bad_rows = self.bad_row_count
-                yield from self._batched(typed, start, self.infer)
+                    # Chunk boundaries count *surviving* rows, so the
+                    # fast-forward must apply the same bad-row policy
+                    # (re-quarantining deterministically rewrites the
+                    # sidecar with identical content).
+                    for index in range(start):
+                        self._build(feed, parsers, index)
+                    self.fastforward_bad_rows = self.bad_row_count
+                index = start
+                while True:
+                    # Injection point: a chunk read failing (disk error,
+                    # NFS hiccup) — the pipeline's retry layer re-opens
+                    # the source at the last completed chunk boundary.
+                    fault_point("source.read", index)
+                    table = self._build(feed, parsers, index)
+                    if not len(table):
+                        return
+                    if self._admit(table, index):
+                        yield table
+                    index += 1
         finally:
             self._close_sidecar()
 
-    def _typed_rows(
-        self, reader, parsers, arity: int, first: int
-    ) -> Iterator[tuple]:
-        for number, row in enumerate(reader, start=first + 1):
-            try:
-                yield parse_row(row, parsers, arity, number)
-            except ValueError as exc:
-                if self.on_bad_rows == BAD_ROWS_RAISE:
-                    raise BadRowError(self.path, number, str(exc)) from exc
-                self.bad_row_count += 1
-                if self.on_bad_rows == BAD_ROWS_QUARANTINE:
-                    self._quarantine(number, row, exc)
+    def _build(self, feed: RecordFeed, parsers, index: int) -> Table:
+        return build_chunk_table(
+            self.schema, feed, self.chunk_size, parsers=parsers,
+            infer=self.infer, label=f"{self.name}[{index}]",
+        )
+
+    def _bad_row(self, number: int, record: list, reason: str) -> None:
+        if self.on_bad_rows == BAD_ROWS_RAISE:
+            raise BadRowError(self.path, number, reason)
+        self.bad_row_count += 1
+        if self.on_bad_rows == BAD_ROWS_QUARANTINE:
+            self._quarantine(number, record, reason)
 
     def _verify_chunk(self, table: Table, index: int) -> tuple[bool, str]:
         # CSV files are byte-canonical, so a verified read checks the
@@ -484,14 +455,14 @@ class CSVChunkSource(ChunkSource):
                 number += len(batch)
                 index += 1
 
-    def _quarantine(self, number: int, row: list, exc: Exception) -> None:
+    def _quarantine(self, number: int, row: list, reason: str) -> None:
         if self._sidecar is None:
             self._sidecar = open(
                 self.quarantine_path, "w", newline="", encoding="utf-8"
             )
             self._sidecar_writer = csv.writer(self._sidecar)
             self._sidecar_writer.writerow(["row_number", "error", "fields"])
-        self._sidecar_writer.writerow([number, str(exc), *row])
+        self._sidecar_writer.writerow([number, reason, *row])
         self.quarantined_rows += 1
 
     def _close_sidecar(self) -> None:
@@ -588,8 +559,12 @@ class SQLiteChunkSource(ChunkSource):
                 batch = cursor.fetchmany(self.chunk_size)
                 if not batch:
                     return
-                chunk = self._table(
-                    [tuple(row) for row in batch], index, self.infer
+                chunk = build_chunk_table(
+                    self.schema,
+                    RecordFeed(
+                        iter(batch), str(self.path), index * self.chunk_size
+                    ),
+                    infer=self.infer, label=f"{self.name}[{index}]",
                 )
                 if self._admit(chunk, index):
                     yield chunk
@@ -598,9 +573,9 @@ class SQLiteChunkSource(ChunkSource):
             connection.close()
 
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Typed-row payloads: SQLite already typed the values, so the
-        workers only validate and build (``trusted`` is False — the
-        database enforces affinity, not the declared schema).
+        """Typed-cell payloads: SQLite already typed the values, so the
+        workers only validate and build (the database enforces affinity,
+        not the declared schema).
         Verified-read mode ships finished chunk tables instead, so the
         digest check and skip accounting happen exactly once, here."""
         if self.verify_manifest is not None:
@@ -625,8 +600,11 @@ class SQLiteChunkSource(ChunkSource):
                 batch = cursor.fetchmany(self.chunk_size)
                 if not batch:
                     return
-                rows = [tuple(row) for row in batch]
-                yield ChunkTask(index, PAYLOAD_TYPED, rows, len(rows))
+                yield ChunkTask(
+                    index, PAYLOAD_TYPED, batch, len(batch),
+                    first_row_number=index * self.chunk_size,
+                    origin=str(self.path),
+                )
                 index += 1
         finally:
             connection.close()
@@ -642,8 +620,6 @@ class SyntheticChunkSource(ChunkSource):
     Rows must be schema-valid; they are adopted without per-cell
     validation (the generators draw from the schema's own domains).
     """
-
-    trusted_rows = True
 
     def __init__(
         self,
@@ -664,10 +640,21 @@ class SyntheticChunkSource(ChunkSource):
         if start:
             for _ in islice(rows, start * self.chunk_size):
                 pass
-        yield from self._batched(rows, start, infer=False)
+        index = start
+        while True:
+            fault_point("source.read", index)
+            batch = list(islice(rows, self.chunk_size))
+            if not batch:
+                return
+            table = Table.from_trusted_rows(
+                self.schema, batch, name=f"{self.name}[{index}]"
+            )
+            if self._admit(table, index):
+                yield table
+            index += 1
 
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Typed trusted-row payloads (the generators draw from the
+        """Schema-valid row payloads (the generators draw from the
         schema's own domains, exactly like the serial adoption path)."""
         rows = iter(self.rows_factory())
         if start:
@@ -679,7 +666,7 @@ class SyntheticChunkSource(ChunkSource):
             batch = list(islice(rows, self.chunk_size))
             if not batch:
                 return
-            yield ChunkTask(index, PAYLOAD_TYPED, batch, len(batch))
+            yield ChunkTask(index, PAYLOAD_ROWS, batch, len(batch))
             index += 1
 
 
@@ -717,10 +704,6 @@ class TableChunkSource(ChunkSource):
     *pipeline's* overhead, not redundant row copying.
     """
 
-    #: rows of a validated Table are schema-valid by construction, so
-    #: parallel workers may adopt them without per-cell re-validation
-    trusted_rows = True
-
     def __init__(
         self,
         table: Table,
@@ -755,8 +738,10 @@ class TableChunkSource(ChunkSource):
             window = self.table.take(
                 range(begin, min(begin + self.chunk_size, total))
             )
+            # Rows of a validated Table are schema-valid by
+            # construction: the workers adopt them without re-validation.
             rows = list(iter(window))
-            yield ChunkTask(index, PAYLOAD_TYPED, rows, len(rows))
+            yield ChunkTask(index, PAYLOAD_ROWS, rows, len(rows))
             index += 1
 
 
@@ -770,8 +755,8 @@ class MultiFileChunkSource(ChunkSource):
     the verdict is bit-identical to an in-memory verify over the files'
     concatenated rows.
 
-    All children must share one declared schema and the same typing rules
-    (``infer_domains``, trusted rows) — the parallel workers materialize
+    All children must share one declared schema and ``infer_domains``
+    setting — the parallel workers materialize
     every file's payloads under a single shipped profile.  Resume-style
     skips (``start > 0``) decode and discard the skipped files' records;
     checkpointed embeds over huge multi-file inputs should prefer one
@@ -791,25 +776,20 @@ class MultiFileChunkSource(ChunkSource):
                 "MultiFileChunkSource needs schema-carrying sources"
             )
         infer = getattr(first, "infer", False)
-        trusted = getattr(first, "trusted_rows", False)
         for other in sources[1:]:
             if source_schema(other) != schema:
                 raise StreamError(
                     "all sources of a MultiFileChunkSource must share "
                     "one declared schema"
                 )
-            if (
-                getattr(other, "infer", False) != infer
-                or getattr(other, "trusted_rows", False) != trusted
-            ):
+            if getattr(other, "infer", False) != infer:
                 raise StreamError(
                     "all sources of a MultiFileChunkSource must share "
-                    "the same infer_domains / trusted-row typing rules"
+                    "the same infer_domains setting"
                 )
         self.sources = sources
         self.schema = schema
         self.infer = infer
-        self.trusted_rows = trusted
         self.chunk_size = max(
             getattr(source, "chunk_size", DEFAULT_CHUNK_SIZE)
             for source in sources
